@@ -25,8 +25,8 @@
 //! under-declared lock order is caught rather than silently trusted.
 //!
 //! Everything here is integer arithmetic over `u64` microseconds —
-//! verdicts are byte-identical across hosts, thread counts and process
-//! runtimes (the determinism suite pins this).
+//! verdicts are byte-identical across hosts and thread counts (the
+//! determinism suite pins this).
 
 pub mod blocking;
 pub mod conformance;

@@ -77,7 +77,8 @@ pub struct TraceHeader {
     /// Scenario topology label (e.g. `"sem_chain"`).
     pub topology: String,
     /// Process runtime the run executed on (host metadata; never
-    /// affects the event stream).
+    /// affects the event stream). Writers emit `"coro"`; any string is
+    /// accepted on read, e.g. `"threaded"` from older traces.
     pub runtime: String,
     /// Generator tuning the scenario was expanded under, when the
     /// writer recorded it. Required to regenerate the exact spec from

@@ -306,3 +306,37 @@ fn exd_tsk_deletes_self() {
     });
     rtos.run_for(ms(10));
 }
+
+/// Dropping the `Rtos` must release task and handler bodies. A handler
+/// that owns a handle back to the kernel (here an `IntPort`, as a BFM
+/// model holds one) would otherwise keep the kernel, and itself, alive
+/// forever.
+#[test]
+fn drop_releases_handler_bodies() {
+    struct DropFlag(Arc<AtomicU64>);
+    impl Drop for DropFlag {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    let drops = Arc::new(AtomicU64::new(0));
+    let port = Arc::new(Mutex::new(None));
+    let mut captured = Some((DropFlag(Arc::clone(&drops)), Arc::clone(&port)));
+    let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
+        let held = captured.take().expect("the main entry runs once");
+        sys.tk_cre_cyc("holder", ms(1), SimTime::ZERO, true, move |_| {
+            let _ = &held;
+        })
+        .unwrap();
+    });
+    *port.lock().unwrap() = Some(rtos.int_port());
+    drop(port);
+    rtos.run_for(ms(5));
+    drop(rtos);
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        1,
+        "the cyclic handler must be dropped with the kernel"
+    );
+}

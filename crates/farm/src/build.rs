@@ -227,39 +227,39 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
 /// model; the first divergence is reported in the outcome (and makes
 /// it unhealthy).
 pub fn run_scenario_checked(spec: &ScenarioSpec, oracle: bool) -> ScenarioOutcome {
-    run_scenario_checked_on(spec, oracle, sysc::Runtime::default())
+    run_scenario_recorded(spec, oracle, None, false, false).0
 }
 
-/// Like [`run_scenario_checked`], but on an explicit sysc process
-/// runtime. The runtime never influences the simulated-domain outcome
-/// (see the cross-runtime determinism tests); it only changes how the
-/// host executes the processes.
+/// [`run_scenario_checked`] with a [`sysc::Runtime`] argument. There
+/// is one runtime, so the argument changes nothing; the signature is
+/// kept for callers written when there were two.
 pub fn run_scenario_checked_on(
     spec: &ScenarioSpec,
     oracle: bool,
-    runtime: sysc::Runtime,
+    _runtime: sysc::Runtime,
 ) -> ScenarioOutcome {
-    run_scenario_recorded(spec, oracle, runtime, None, false, false).0
+    run_scenario_recorded(spec, oracle, None, false, false).0
 }
 
-/// Like [`run_scenario_checked_on`], additionally feeding the
+/// Like [`run_scenario_checked`], additionally feeding the
 /// observation stream through the static-model conformance checker and
 /// collecting the warmup-filtered measurements the static/dynamic
 /// cross-validation consumes ([`crate::verify`]): per-task worst
 /// post-warmup latency, post-warmup deadline misses, and lock-order
 /// conformance violations. All of it lands in digest-excluded
 /// [`ScenarioOutcome`] fields — analysis never changes a run's
-/// simulated-domain identity.
+/// simulated-domain identity. The [`sysc::Runtime`] argument changes
+/// nothing (see [`run_scenario_checked_on`]).
 pub fn run_scenario_analyzed(
     spec: &ScenarioSpec,
     oracle: bool,
-    runtime: sysc::Runtime,
+    _runtime: sysc::Runtime,
     trace: Option<&TraceConfig>,
 ) -> ScenarioOutcome {
-    run_scenario_recorded(spec, oracle, runtime, trace, false, true).0
+    run_scenario_recorded(spec, oracle, trace, false, true).0
 }
 
-/// Like [`run_scenario_checked_on`], additionally capturing the
+/// Like [`run_scenario_checked`], additionally capturing the
 /// observation stream into a binary `.rtkt` trace file (see
 /// [`TraceConfig`] and `docs/TRACE_FORMAT.md`). A trace-file I/O
 /// failure never fails the run: the scenario outcome is computed as
@@ -268,22 +268,21 @@ pub fn run_scenario_analyzed(
 pub fn run_scenario_traced(
     spec: &ScenarioSpec,
     oracle: bool,
-    runtime: sysc::Runtime,
     trace: &TraceConfig,
 ) -> ScenarioOutcome {
-    run_scenario_recorded(spec, oracle, runtime, Some(trace), false, false).0
+    run_scenario_recorded(spec, oracle, Some(trace), false, false).0
 }
 
-/// Like [`run_scenario_checked_on`] with the oracle enabled, but also
-/// returns the recorded kernel-decision stream. The cross-runtime
-/// determinism tests compare these streams event-for-event: the
-/// process runtime must not change a single kernel decision (nor the
-/// tick it is stamped with).
+/// Like [`run_scenario_checked`] with the oracle enabled, but also
+/// returns the recorded kernel-decision stream. The determinism tests
+/// pin these streams event for event, with their tick stamps. The
+/// [`sysc::Runtime`] argument changes nothing (see
+/// [`run_scenario_checked_on`]).
 pub fn run_scenario_observed(
     spec: &ScenarioSpec,
-    runtime: sysc::Runtime,
+    _runtime: sysc::Runtime,
 ) -> (ScenarioOutcome, Vec<StampedEvent>) {
-    run_scenario_recorded(spec, true, runtime, None, true, false)
+    run_scenario_recorded(spec, true, None, true, false)
 }
 
 /// An [`ObsStream`] backend feeding the incremental differential
@@ -322,7 +321,6 @@ impl StreamSink for ConformanceSink {
 fn run_scenario_recorded(
     spec: &ScenarioSpec,
     oracle: bool,
-    runtime: sysc::Runtime,
     trace: Option<&TraceConfig>,
     collect_events: bool,
     analyze: bool,
@@ -372,7 +370,7 @@ fn run_scenario_recorded(
             seed: spec.seed,
             tick_us: KernelConfig::paper().tick.as_us() as u32,
             topology: spec.topology.label().to_string(),
-            runtime: runtime.resolve().as_str().to_string(),
+            runtime: sysc::Runtime::default().as_str().to_string(),
             tuning: tc.tuning,
         };
         let path = tc.dir.join(format!("seed-{:010}.rtkt", spec.seed));
@@ -390,9 +388,7 @@ fn run_scenario_recorded(
         let collect = Arc::clone(&collect);
         let obs = obs.clone();
         let spec = spec.clone();
-        catch_unwind(AssertUnwindSafe(move || {
-            execute(&spec, &collect, obs, runtime)
-        }))
+        catch_unwind(AssertUnwindSafe(move || execute(&spec, &collect, obs)))
     };
     // A panic truncates the observation stream mid-operation; closing
     // as `Aborted` stamps the trace trailer accordingly so a replay
@@ -498,7 +494,6 @@ fn execute(
     spec: &ScenarioSpec,
     collect: &Arc<Collect>,
     obs: Option<Arc<ObsStream>>,
-    runtime: sysc::Runtime,
 ) -> (&'static str, RunStats) {
     let order = if spec.priority_queues {
         QueueOrder::Priority
@@ -515,7 +510,7 @@ fn execute(
     let mut rtos = {
         let collect = Arc::clone(collect);
         let spec = spec.clone();
-        Rtos::new_with_runtime(runtime, KernelConfig::paper(), move |sys, _| {
+        Rtos::new(KernelConfig::paper(), move |sys, _| {
             // Shared objects of the topology.
             let chain_sem = match spec.topology {
                 Topology::SemChain => Some(sys.tk_cre_sem("chain", 1, 1, order).unwrap()),

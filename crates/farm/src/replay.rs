@@ -321,12 +321,7 @@ mod tests {
         let mut live = Vec::new();
         for seed in 300..308 {
             let spec = ScenarioSpec::generate(seed, &tuning);
-            live.push(run_scenario_traced(
-                &spec,
-                true,
-                sysc::Runtime::default(),
-                &tc,
-            ));
+            live.push(run_scenario_traced(&spec, true, &tc));
         }
         let replayed = replay_path(&dir).unwrap();
         assert_eq!(replayed.len(), live.len());
@@ -356,7 +351,6 @@ mod tests {
         let traced = run_scenario_traced(
             &spec,
             true,
-            sysc::Runtime::default(),
             &TraceConfig {
                 dir: dir.clone(),
                 cap: 0,
@@ -385,7 +379,7 @@ mod tests {
         };
         for seed in 400..408 {
             let spec = ScenarioSpec::generate(seed, &tuning);
-            run_scenario_traced(&spec, false, sysc::Runtime::default(), &tc);
+            run_scenario_traced(&spec, false, &tc);
         }
         let traces = replay_path(&dir).unwrap();
         assert_eq!(traces.len(), 8);
@@ -434,7 +428,7 @@ mod tests {
             tuning: None,
         };
         let spec = ScenarioSpec::generate(5, &tuning);
-        run_scenario_traced(&spec, true, sysc::Runtime::default(), &tc);
+        run_scenario_traced(&spec, true, &tc);
         let traces = replay_path(&dir).unwrap();
         let j = replay_report_json(&traces);
         assert!(j.contains("\"schema\": \"rtk-farm-replay-v1\""));

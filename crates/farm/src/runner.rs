@@ -41,9 +41,9 @@ pub struct CampaignConfig {
     /// label (see `Topology::ALL_LABELS`) — one-command divergence
     /// repro for a single scenario family.
     pub topology: Option<String>,
-    /// The sysc process runtime every scenario kernel runs on. Never
-    /// changes the simulated-domain outcomes (hence the campaign
-    /// digest); only host execution cost.
+    /// The sysc process runtime, echoed as `"runtime"` in the timed
+    /// report. There is one runtime; the field is kept for callers
+    /// that set it.
     pub runtime: sysc::Runtime,
     /// When set, every scenario's observation stream is captured into
     /// a binary `.rtkt` trace file in the given directory
@@ -150,19 +150,12 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Vec<ScenarioOutcome> {
     }
     let workers = cfg.effective_threads().min(n);
 
-    // Scenario kernels lease their T-THREAD contexts from a global
-    // pool — OS threads (threaded runtime) or heap stacks (coroutine
-    // runtime); across a campaign the same contexts serve thousands of
+    // Scenario kernels lease their T-THREAD coroutine stacks from a
+    // global pool; across a campaign the same stacks serve thousands of
     // scenarios. Pre-warm one wave's worth (a quick scenario runs
     // roughly 4–10 thread processes: tasks, boot, timer, storm) so the
-    // first scenarios don't pay creation latency either.
-    match cfg.runtime.resolve() {
-        sysc::Runtime::Threaded => sysc::pool::prewarm(workers.saturating_mul(8)),
-        sysc::Runtime::Coro => {
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            sysc::runtime::prewarm_stacks(workers.saturating_mul(8));
-        }
-    }
+    // first scenarios don't pay allocation latency either.
+    sysc::runtime::prewarm_stacks(workers.saturating_mul(8));
 
     // Static pre-split into contiguous slices, then dynamic stealing.
     let queues: Vec<WorkerQueue> = (0..workers)
@@ -190,7 +183,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Vec<ScenarioOutcome> {
                         run_scenario_analyzed(&spec, cfg.oracle, cfg.runtime, cfg.trace.as_ref())
                     } else {
                         match &cfg.trace {
-                            Some(tc) => run_scenario_traced(&spec, cfg.oracle, cfg.runtime, tc),
+                            Some(tc) => run_scenario_traced(&spec, cfg.oracle, tc),
                             None => run_scenario_checked_on(&spec, cfg.oracle, cfg.runtime),
                         }
                     };
@@ -224,10 +217,7 @@ mod tests {
                 faults: true,
             },
             oracle: false,
-            topology: None,
-            runtime: sysc::Runtime::default(),
-            trace: None,
-            analyze: false,
+            ..CampaignConfig::default()
         }
     }
 

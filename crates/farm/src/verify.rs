@@ -29,7 +29,7 @@ use crate::scenario::ScenarioSpec;
 /// Per-scenario static verdicts plus any static/dynamic
 /// contradictions. Everything in here is a pure function of the spec
 /// and the (digest-stable) outcome, so records are byte-identical
-/// across worker-thread counts, process runtimes and hosts.
+/// across worker-thread counts and hosts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisRecord {
     /// The seed that named the scenario.

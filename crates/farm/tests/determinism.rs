@@ -3,6 +3,8 @@
 //! independent of worker-thread count and scheduling.
 
 use proptest::prelude::*;
+use rtk_analysis::trace_codec::{encode_header, encode_trace, TraceHeader};
+use rtk_core::obs::{StampedEvent, GRAMMAR_VERSION};
 use rtk_farm::{
     run_campaign, run_exploration, run_scenario, run_scenario_observed, CampaignConfig,
     CampaignReport, ExploreConfig, Family, ScenarioSpec, Tuning,
@@ -66,10 +68,7 @@ proptest! {
             threads: 1,
             tuning: quick(true),
             oracle: true,
-            topology: None,
-            runtime: Runtime::default(),
-            trace: None,
-            analyze: false,
+            ..CampaignConfig::default()
         };
         let cfgn = CampaignConfig { threads, ..cfg1.clone() };
 
@@ -90,92 +89,104 @@ fn campaign_json_is_stable_across_repeated_runs() {
         threads: 3,
         tuning: quick(true),
         oracle: true,
-        topology: None,
-        runtime: Runtime::default(),
-        trace: None,
-        analyze: false,
+        ..CampaignConfig::default()
     };
     let a = CampaignReport::new(cfg.clone(), run_campaign(&cfg)).to_json();
     let b = CampaignReport::new(cfg.clone(), run_campaign(&cfg)).to_json();
     assert_eq!(a, b);
 }
 
-/// The process runtime (pooled OS threads vs stackful coroutines) is
-/// pure host mechanics: the same seed window must yield a byte-identical
-/// report under both.
+/// FNV-1a over a byte string (test-local; pins below are recorded
+/// with exactly this function).
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `.rtkt` event records of a stream, without the header, so the
+/// hash pins kernel decisions and tick stamps only.
+fn stream_hash(events: &[StampedEvent]) -> u64 {
+    let header = TraceHeader {
+        grammar_version: GRAMMAR_VERSION,
+        seed: 0,
+        tick_us: 0,
+        topology: String::new(),
+        runtime: String::new(),
+        tuning: None,
+    };
+    let bytes = encode_trace(&header, events, None);
+    fnv(&bytes[encode_header(&header).len()..])
+}
+
+/// Golden pin of a fixed `--oracle` campaign window. The digest and
+/// report bytes were recorded when a second, OS-thread process runtime
+/// still existed and matched them byte for byte; they hold the
+/// determinism contract without that reference.
 #[test]
-fn campaign_report_is_runtime_invariant() {
-    let cfg = |runtime| CampaignConfig {
+fn oracle_campaign_matches_golden_pin() {
+    let cfg = CampaignConfig {
         base_seed: 500,
         seeds: 12,
         threads: 2,
         tuning: quick(true),
         oracle: true,
-        topology: None,
-        runtime,
-        trace: None,
-        analyze: false,
+        ..CampaignConfig::default()
     };
-    let threaded = cfg(Runtime::Threaded);
-    let coro = cfg(Runtime::Coro);
-    let rt = CampaignReport::new(threaded.clone(), run_campaign(&threaded));
-    let rc = CampaignReport::new(coro.clone(), run_campaign(&coro));
-    assert_eq!(rt.digest(), rc.digest());
-    assert_eq!(rt.to_json(), rc.to_json());
+    let report = CampaignReport::new(cfg.clone(), run_campaign(&cfg));
+    assert_eq!(report.digest(), CAMPAIGN_DIGEST);
+    assert_eq!(fnv(report.to_json().as_bytes()), CAMPAIGN_JSON_HASH);
 }
 
-/// The `--explore` walk is a pure function of its config: the
-/// canonical state hash and the *entire report* (JSON bytes) must not
-/// depend on the host runtime backing the cross-execution, nor on any
-/// thread-count setting (exploration is single-walker by construction;
-/// this pins that `--threads` can never leak into the report).
+const CAMPAIGN_DIGEST: u64 = 0x4844_bf1d_25a8_2a45;
+const CAMPAIGN_JSON_HASH: u64 = 0x8769_5746_af5e_0b3b;
+
+/// Golden pins of per-seed kernel-decision streams: every dispatch,
+/// wakeup and sync operation, in order, with its tick stamp.
 #[test]
-fn explore_report_is_runtime_and_thread_invariant() {
-    for family in [Family::Mtx, Family::Irq, Family::Chain, Family::Deadlock] {
+fn obs_streams_match_golden_pins() {
+    for &(seed, len, hash) in OBS_PINS {
+        let spec = ScenarioSpec::generate(seed, &quick(true));
+        let (_, obs) = run_scenario_observed(&spec, Runtime::default());
+        assert_eq!(obs.len(), len, "seed {seed}");
+        assert_eq!(stream_hash(&obs), hash, "seed {seed}");
+    }
+}
+
+/// `(seed, events, stream hash)`.
+const OBS_PINS: &[(u64, usize, u64)] = &[
+    (3, 434, 0x1a6c_86f9_75ee_0d88),
+    (17, 194, 0x71b1_9b92_96f3_13d2),
+    (42, 326, 0x2fa1_ff51_29c5_af7a),
+    (100, 81, 0x31ae_0dd6_78f7_11fe),
+    (257, 565, 0x359c_3cd0_c730_fe92),
+];
+
+/// Golden pins of the `--explore` walk per family: the canonical state
+/// hash and the whole report's bytes. Exploration is single-walker by
+/// construction, so this also pins that no host setting leaks into the
+/// report.
+#[test]
+fn explore_reports_match_golden_pins() {
+    for &(family, state_hash, json_hash) in EXPLORE_PINS {
         let cfg = ExploreConfig {
             family,
             ..ExploreConfig::default()
         };
-        let threaded = run_exploration(&cfg, Runtime::Threaded);
-        let coro = run_exploration(&cfg, Runtime::Coro);
-        assert_eq!(
-            threaded.report.state_hash, coro.report.state_hash,
-            "{family}: canonical state hash must be runtime-invariant"
-        );
-        assert_eq!(
-            threaded.report.to_json(),
-            coro.report.to_json(),
-            "{family}: explore report must be byte-identical across runtimes"
-        );
-        // Counterexample distillation is part of the determinism
-        // contract too: same violations, same events, same order.
-        assert_eq!(
-            threaded.counterexamples.len(),
-            coro.counterexamples.len(),
-            "{family}"
-        );
-        for (a, b) in threaded.counterexamples.iter().zip(&coro.counterexamples) {
-            assert_eq!(a.name, b.name, "{family}");
-            assert_eq!(a.events, b.events, "{family}: {} diverged", a.name);
-        }
+        let out = run_exploration(&cfg);
+        assert_eq!(out.report.state_hash, state_hash, "{family}");
+        assert_eq!(fnv(out.report.to_json().as_bytes()), json_hash, "{family}");
     }
 }
 
-/// Stronger than digest equality: under both runtimes the kernel makes
-/// the *same decisions in the same order* — the per-seed observation
-/// streams (every dispatch, wakeup and sync operation) are identical
-/// event for event.
-#[test]
-fn obs_streams_are_identical_across_runtimes() {
-    for seed in [3u64, 17, 42, 100, 257] {
-        let spec = ScenarioSpec::generate(seed, &quick(true));
-        let (out_t, obs_t) = run_scenario_observed(&spec, Runtime::Threaded);
-        let (out_c, obs_c) = run_scenario_observed(&spec, Runtime::Coro);
-        assert_eq!(out_t.digest(), out_c.digest(), "seed {seed}");
-        assert!(!obs_t.is_empty(), "seed {seed} recorded no events");
-        assert_eq!(obs_t.len(), obs_c.len(), "seed {seed}");
-        for (i, (a, b)) in obs_t.iter().zip(&obs_c).enumerate() {
-            assert_eq!(a, b, "seed {seed}, event {i}");
-        }
-    }
-}
+/// `(family, canonical state hash, report JSON hash)`.
+const EXPLORE_PINS: &[(Family, u64, u64)] = &[
+    (Family::Mtx, 0x8ce0_4cab_dd0c_1150, 0x5e25_aeaa_3efa_d571),
+    (Family::Irq, 0xbaa8_38d9_bcbe_a5cf, 0xa6cd_8b58_e0ae_f7fc),
+    (Family::Chain, 0xb2e0_83bd_88ca_d553, 0xc97d_272d_fb07_f38f),
+    (
+        Family::Deadlock,
+        0xd906_bf62_a104_bc2c,
+        0x6d1d_7ce6_642b_1d06,
+    ),
+];

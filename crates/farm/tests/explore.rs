@@ -32,7 +32,7 @@ fn cfg(family: Family) -> ExploreConfig {
 }
 
 fn explore(c: &ExploreConfig) -> ExploreOutcome {
-    run_exploration(c, Runtime::default())
+    run_exploration(c)
 }
 
 fn tmp_dir(name: &str) -> PathBuf {

@@ -166,14 +166,12 @@ fn bounded_capture_drop_accounting_is_deterministic() {
                 faults: true,
             },
             oracle: false,
-            topology: None,
-            runtime: sysc::Runtime::default(),
             trace: Some(TraceConfig {
                 dir: dir.to_path_buf(),
                 cap: 40,
                 tuning: None,
             }),
-            analyze: false,
+            ..CampaignConfig::default()
         };
         let outcomes = run_campaign(&cfg);
         let report = CampaignReport::new(cfg, outcomes);
@@ -229,14 +227,12 @@ fn trace_bytes_are_thread_count_invariant() {
                 faults: true,
             },
             oracle: true,
-            topology: None,
-            runtime: sysc::Runtime::default(),
             trace: Some(TraceConfig {
                 dir: dir.to_path_buf(),
                 cap: 0,
                 tuning: None,
             }),
-            analyze: false,
+            ..CampaignConfig::default()
         };
         run_campaign(&cfg);
     };

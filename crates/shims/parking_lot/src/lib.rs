@@ -2,12 +2,9 @@
 //!
 //! The build environment has no network access to a crates registry, so
 //! this workspace ships a minimal API-compatible shim over `std::sync`.
-//! Only the surface the workspace uses is provided:
-//!
-//! * [`Mutex`] / [`MutexGuard`] — non-poisoning `lock()` (a poisoned
-//!   std mutex is recovered, matching parking_lot's no-poison policy),
-//! * [`Condvar`] — `wait(&mut guard)` / `notify_one` / `notify_all`,
-//! * [`RwLock`] — `read()` / `write()`.
+//! Only the surface the workspace uses is provided: [`Mutex`] /
+//! [`MutexGuard`] with a non-poisoning `lock()` (a poisoned std mutex
+//! is recovered, matching parking_lot's no-poison policy).
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -22,136 +19,44 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available. Never
     /// poisons: a panic in another holder is recovered.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
-    }
-
-    /// Attempts to acquire the mutex without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard(Some(p.into_inner()))),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+        MutexGuard(self.0.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
+        match self.0.try_lock() {
+            Ok(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
+            Err(std::sync::TryLockError::Poisoned(p)) => f
+                .debug_struct("Mutex")
+                .field("data", &&*p.into_inner())
+                .finish(),
+            Err(std::sync::TryLockError::WouldBlock) => {
+                f.debug_struct("Mutex").field("data", &"<locked>").finish()
+            }
         }
     }
 }
 
 /// RAII guard of a [`Mutex`].
-///
-/// The inner `Option` is only ever `None` transiently inside
-/// [`Condvar::wait`], where the std guard must be moved out and back.
-pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
+pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.0
-            .as_ref()
-            .expect("guard present outside Condvar::wait")
+        &self.0
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.0
-            .as_mut()
-            .expect("guard present outside Condvar::wait")
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// A condition variable usable with [`MutexGuard`].
-#[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Blocks until notified, releasing the guard while waiting
-    /// (parking_lot signature: the guard is re-acquired in place).
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard present before wait");
-        let inner = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
-        guard.0 = Some(inner);
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) -> bool {
-        self.0.notify_one();
-        true
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) -> usize {
-        self.0.notify_all();
-        0
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Condvar").finish_non_exhaustive()
-    }
-}
-
-/// A reader-writer lock (non-poisoning).
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock.
-    pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock").finish_non_exhaustive()
+        &mut self.0
     }
 }
 
@@ -166,24 +71,6 @@ mod tests {
         let m = Mutex::new(5);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
-    }
-
-    #[test]
-    fn condvar_wait_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = thread::spawn(move || {
-            let (m, cv) = &*p2;
-            *m.lock() = true;
-            cv.notify_all();
-        });
-        let (m, cv) = &*pair;
-        let mut g = m.lock();
-        while !*g {
-            cv.wait(&mut g);
-        }
-        drop(g);
-        t.join().unwrap();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The process table: thread- and method-process bookkeeping.
 //!
-//! Thread processes run on OS threads under the baton protocol of
-//! [`crate::process`]; method processes are plain callbacks. For the
+//! Thread processes run as stackful coroutines
+//! ([`crate::runtime`]); method processes are plain callbacks. For the
 //! method fast path, the callback box lives *outside* the kernel state
 //! in a per-process [`MethodSlot`], so the scheduler can pop a method
 //! from the runnable queue in one kernel-lock acquisition and then run
@@ -14,7 +14,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::ids::{EventId, ProcId};
-use crate::runtime::{RtShared, WakeReason};
+use crate::runtime::coro::CoroShared;
+use crate::runtime::WakeReason;
 
 use super::MethodCtx;
 
@@ -49,12 +50,10 @@ impl MethodSlot {
 
 pub(crate) enum ProcBody {
     Thread {
-        /// The runtime transfer handle: the baton rendezvous of a
-        /// pooled OS thread, or a coroutine context on a leased heap
-        /// stack ([`crate::runtime`]). There is no join handle either
-        /// way; teardown is the terminate handshake, after which the
-        /// worker (or stack) is recycled.
-        shared: RtShared,
+        /// The coroutine context on a leased heap stack. There is no
+        /// join handle; teardown is the terminate handshake, after
+        /// which the stack is recycled.
+        shared: Arc<CoroShared>,
     },
     Method {
         slot: Arc<MethodSlot>,
@@ -83,7 +82,7 @@ pub(crate) struct ProcEntry {
 }
 
 impl ProcEntry {
-    pub(crate) fn new_thread(name: &str, shared: RtShared) -> Self {
+    pub(crate) fn new_thread(name: &str, shared: Arc<CoroShared>) -> Self {
         ProcEntry {
             name: name.to_string(),
             body: ProcBody::Thread { shared },

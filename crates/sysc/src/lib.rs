@@ -7,12 +7,13 @@
 //!
 //! * **Thread processes** (`SC_THREAD`): coroutine-style bodies that can
 //!   suspend anywhere via [`ProcCtx::wait_time`], [`ProcCtx::wait_event`]
-//!   and friends. Implemented as OS threads under a strict baton
-//!   protocol — exactly one process executes at any instant, so the
-//!   simulation is deterministic like SystemC's evaluator.
+//!   and friends. Implemented, like SystemC's, as stackful coroutines
+//!   on one host thread — exactly one process executes at any instant,
+//!   so the simulation is deterministic like SystemC's evaluator.
 //! * **Method processes** (`SC_METHOD`): non-blocking callbacks with
-//!   static sensitivity, run on the kernel thread (no stack switch) —
-//!   used for clocked hardware models where handoff cost would dominate.
+//!   static sensitivity, run on the scheduler's own stack (no context
+//!   switch) — used for clocked hardware models where handoff cost
+//!   would dominate.
 //! * **Events** with immediate, delta and timed notification, the
 //!   `sc_event` single-pending-notification override rule, cancellation,
 //!   and periodic auto-renotification (clocks).
@@ -59,10 +60,12 @@
 // `unsafe fn` bodies.
 #![deny(unsafe_op_in_unsafe_fn)]
 
+// The coroutine context switch is hand-written assembly.
+#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+compile_error!("sysc supports x86_64 and aarch64 only: its coroutine context switch is hand-written for those two architectures");
+
 mod ids;
 mod kernel;
-pub mod pool;
-mod process;
 pub mod runtime;
 mod signal;
 mod time;

@@ -1,35 +1,30 @@
-//! Coroutine-runtime-specific lifecycle tests: stack recycling across
-//! the panic and terminate paths, never-started processes, kill from
-//! inside another process body, nested simulations on one OS thread,
-//! and `Runtime` selection/parsing.
+//! Coroutine lifecycle tests: stack recycling across the panic and
+//! terminate paths, never-started processes, kill from inside another
+//! process body, nested simulations on one OS thread, and the
+//! `Runtime` metadata.
 //!
-//! (Runtime-agnostic stress coverage lives in `handoff_stress.rs`;
-//! these tests pin behavior that only exists under `Runtime::Coro`.)
-
-#![cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+//! (Stress coverage lives in `handoff_stress.rs`.)
+//!
+//! Several tests count leases of the process-global stack pool, so
+//! every test here that runs a thread process holds [`serial`] to keep
+//! the counts its own.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sysc::{RunOutcome, Runtime, SimTime, Simulation, SpawnMode};
 
-#[test]
-fn runtime_parsing_and_default() {
-    assert_eq!("coro".parse::<Runtime>().unwrap(), Runtime::Coro);
-    assert_eq!("threaded".parse::<Runtime>().unwrap(), Runtime::Threaded);
-    let err = "fibers".parse::<Runtime>().unwrap_err();
-    assert!(
-        err.contains("fibers"),
-        "error should name the bad value: {err}"
-    );
-    assert_eq!(Runtime::default(), Runtime::Coro);
-    assert!(sysc::runtime::coro_supported());
-    assert_eq!(Runtime::Coro.resolve(), Runtime::Coro);
+/// Serialises this file's tests over the global stack pool.
+fn serial() -> MutexGuard<'static, ()> {
+    static POOL: Mutex<()> = Mutex::new(());
+    POOL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
-    let sim = Simulation::new();
-    assert_eq!(sim.runtime(), Runtime::Coro);
-    let sim = Simulation::with_runtime(Runtime::Threaded);
-    assert_eq!(sim.runtime(), Runtime::Threaded);
+#[test]
+fn runtime_default_and_name() {
+    assert_eq!(Runtime::default(), Runtime::Coro);
+    assert_eq!(Runtime::Coro.as_str(), "coro");
+    assert_eq!(Runtime::Coro.to_string(), "coro");
 }
 
 /// A panic mid-scenario must give the panicked process's stack back to
@@ -37,10 +32,11 @@ fn runtime_parsing_and_default() {
 /// here leaks 512 KiB per poisoned seed).
 #[test]
 fn panicked_process_stack_is_recycled() {
+    let _pool = serial();
     let before = sysc::runtime::stack_stats();
     for _ in 0..10 {
         let result = std::panic::catch_unwind(|| {
-            let mut sim = Simulation::with_runtime(Runtime::Coro);
+            let mut sim = Simulation::new();
             let h = sim.handle();
             h.spawn_thread("bystander", SpawnMode::Immediate, |ctx| {
                 ctx.wait_time(SimTime::from_ms(10));
@@ -56,12 +52,16 @@ fn panicked_process_stack_is_recycled() {
     let after = sysc::runtime::stack_stats();
     let leased = after.leases - before.leases;
     let recycled = after.recycled - before.recycled;
-    // Every lease this loop took must have been returned: the bomb's
-    // stack through the panic reply path, the bystander's through
-    // terminate-on-drop. Concurrent tests can only add recycles.
+    let fresh = after.stacks_allocated - before.stacks_allocated;
+    // Every lease is served by a recycled stack or a fresh one. A cold
+    // pool allocates the first iteration's two stacks; after that every
+    // lease must find a returned stack — the bomb's through the panic
+    // reply path, the bystander's through terminate-on-drop.
+    assert_eq!(leased, 20, "two stacks per simulation");
+    assert_eq!(leased, recycled + fresh, "every lease is recycled or fresh");
     assert!(
-        recycled >= leased,
-        "leaked stacks: {leased} leased, {recycled} recycled"
+        fresh <= 2,
+        "leaked stacks: {fresh} fresh allocations for {leased} leases"
     );
 }
 
@@ -70,6 +70,7 @@ fn panicked_process_stack_is_recycled() {
 /// (which owns a self-referential Arc).
 #[test]
 fn never_started_process_is_terminated_without_a_stack() {
+    let _pool = serial();
     struct CountDrop(Arc<AtomicU64>);
     impl Drop for CountDrop {
         fn drop(&mut self) {
@@ -79,7 +80,7 @@ fn never_started_process_is_terminated_without_a_stack() {
     let drops = Arc::new(AtomicU64::new(0));
     let before = sysc::runtime::stack_stats();
     {
-        let mut sim = Simulation::with_runtime(Runtime::Coro);
+        let mut sim = Simulation::new();
         let h = sim.handle();
         let never = h.create_event("never");
         let d = CountDrop(Arc::clone(&drops));
@@ -107,8 +108,9 @@ fn never_started_process_is_terminated_without_a_stack() {
 /// resumer) and control must return to the killer afterwards.
 #[test]
 fn kill_from_inside_another_process() {
+    let _pool = serial();
     let log = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let mut sim = Simulation::with_runtime(Runtime::Coro);
+    let mut sim = Simulation::new();
     let h = sim.handle();
     let log2 = Arc::clone(&log);
     let victim = h.spawn_thread("victim", SpawnMode::Immediate, move |ctx| {
@@ -139,13 +141,14 @@ fn kill_from_inside_another_process() {
 /// of the current context.
 #[test]
 fn nested_simulation_inside_a_coroutine() {
-    let mut outer = Simulation::with_runtime(Runtime::Coro);
+    let _pool = serial();
+    let mut outer = Simulation::new();
     let h = outer.handle();
     let result = Arc::new(AtomicU64::new(0));
     let result2 = Arc::clone(&result);
     h.spawn_thread("outer", SpawnMode::Immediate, move |ctx| {
         ctx.wait_time(SimTime::from_us(1));
-        let mut inner = Simulation::with_runtime(Runtime::Coro);
+        let mut inner = Simulation::new();
         let ih = inner.handle();
         let r = Arc::clone(&result2);
         ih.spawn_thread("inner", SpawnMode::Immediate, move |ictx| {
@@ -167,8 +170,9 @@ fn nested_simulation_inside_a_coroutine() {
 /// must plateau at a small number of distinct stacks.
 #[test]
 fn sequential_process_churn_reuses_stacks() {
+    let _pool = serial();
     let before = sysc::runtime::stack_stats();
-    let mut sim = Simulation::with_runtime(Runtime::Coro);
+    let mut sim = Simulation::new();
     let h = sim.handle();
     let total = Arc::new(AtomicU64::new(0));
     for i in 0..200 {

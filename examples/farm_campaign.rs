@@ -18,12 +18,10 @@ fn main() {
         },
         // Check every kernel decision against the ITRON reference model.
         oracle: true,
-        topology: None,
-        runtime: sysc::Runtime::default(),
-        // No .rtkt capture here; see `rtk-farm --trace-dir`.
-        trace: None,
-        // No static-analysis cross-check here; see `rtk-farm --analyze`.
-        analyze: false,
+        // No topology filter, .rtkt capture or static-analysis
+        // cross-check here; see `rtk-farm --topology`, `--trace-dir`
+        // and `--analyze`.
+        ..CampaignConfig::default()
     };
 
     // Every seed names a complete scenario; show a few.
