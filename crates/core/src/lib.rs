@@ -89,11 +89,11 @@ pub use kernel::time::{RefAlm, RefCyc};
 pub use model::{InterferenceModel, LockPolicy, ResourceModel, SectionModel, SysModel, TaskModel};
 pub use obs::{
     CollectHandle, CollectSink, ObsEvent, ObsSink, ObsStream, StampedEvent, StreamClose,
-    StreamSink, StreamStats, VecObsSink, WakeCode, GRAMMAR_VERSION,
+    StreamSink, StreamStats, WakeCode, GRAMMAR_VERSION,
 };
 pub use rtos::{IntPort, Rtos, RunStats, Sys};
 pub use state::{Delivered, FlagWaitMode, IntRequest, QueueOrder, TaskState, Timeout, WaitObj};
-pub use trace::{NullSink, TraceKind, TraceRecord, TraceSink};
+pub use trace::{TraceKind, TraceRecord, TraceSink};
 pub use tthread::{
     CharacteristicVector, ExecContext, TThreadEvent, TThreadInfo, TThreadKind, TThreadStats,
 };

@@ -42,7 +42,7 @@ use crate::sim_api::scheduler::{PriorityScheduler, RoundRobinScheduler};
 /// ```
 pub fn rtk_spec_i<F>(slice_ticks: u64, main: F) -> Rtos
 where
-    F: FnMut(&mut Sys<'_>, i32) + Send + 'static,
+    F: FnMut(&mut Sys<'_>, i32) + 'static,
 {
     let cfg = KernelConfig {
         cost: CostModel::mcu_8051(),
@@ -56,7 +56,7 @@ where
 pub fn rtk_spec_i_with(
     cfg: KernelConfig,
     slice_ticks: u64,
-    main: impl FnMut(&mut Sys<'_>, i32) + Send + 'static,
+    main: impl FnMut(&mut Sys<'_>, i32) + 'static,
 ) -> Rtos {
     Rtos::with_scheduler(cfg, Box::new(RoundRobinScheduler::new(slice_ticks)), main)
 }
@@ -66,7 +66,7 @@ pub fn rtk_spec_i_with(
 /// the smaller µ-ITRON-style configuration (16 priority levels).
 pub fn rtk_spec_ii<F>(main: F) -> Rtos
 where
-    F: FnMut(&mut Sys<'_>, i32) + Send + 'static,
+    F: FnMut(&mut Sys<'_>, i32) + 'static,
 {
     let cfg = KernelConfig {
         max_priority: 16,
@@ -81,10 +81,7 @@ where
 }
 
 /// RTK-Spec II with an explicit configuration.
-pub fn rtk_spec_ii_with(
-    cfg: KernelConfig,
-    main: impl FnMut(&mut Sys<'_>, i32) + Send + 'static,
-) -> Rtos {
+pub fn rtk_spec_ii_with(cfg: KernelConfig, main: impl FnMut(&mut Sys<'_>, i32) + 'static) -> Rtos {
     let max = cfg.max_priority;
     Rtos::with_scheduler(cfg, Box::new(PriorityScheduler::new(max)), main)
 }

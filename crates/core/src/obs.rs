@@ -17,8 +17,8 @@
 //! `rtk_analysis::trace_codec`). [`GRAMMAR_VERSION`] names the
 //! revision both documents describe.
 //!
-//! Events are emitted under the kernel state lock, at the same program
-//! point as the state mutation they describe, so the stream is a linear
+//! Events are emitted while the kernel state is borrowed, at the same
+//! program point as the state mutation they describe, so the stream is a linear
 //! history: the wakeups mandated by a stimulus (`tk_sig_sem`,
 //! `tk_set_flg`, a mutex unlock, ...) appear contiguously right after
 //! it, which is what lets the oracle check wakeup *order*, not just
@@ -27,17 +27,14 @@
 //! # Consuming the stream
 //!
 //! The kernel-facing hook is [`ObsSink`]: one virtual call per event,
-//! under the state lock. Two consumption styles exist:
-//!
-//! * [`VecObsSink`] buffers the whole run — right for unit tests and
-//!   for handing a short history to `rtk_farm::check`.
-//! * [`ObsStream`] is the streaming pipeline: a bounded ring that
-//!   batches events and fans them out to pluggable [`StreamSink`]
-//!   backends (the online oracle checker, the binary trace-file writer,
-//!   a bounded collector, ...). Memory stays `O(ring)` no matter how
-//!   long the run is, and a backend that stops accepting events
-//!   (bounded capture) produces *deterministic* drop accounting instead
-//!   of unbounded growth.
+//! while the state is borrowed. [`ObsStream`] is the streaming
+//! pipeline behind it: a bounded ring that batches events and fans
+//! them out to pluggable [`StreamSink`] backends (the online oracle
+//! checker, the binary trace-file writer, a [`CollectSink`] that
+//! buffers the history for tests or `rtk_farm::check`, ...). Memory
+//! stays `O(ring)` no matter how long the run is, and a backend that
+//! stops accepting events (bounded capture) produces *deterministic*
+//! drop accounting instead of unbounded growth.
 //!
 //! # Checker scope
 //!
@@ -306,7 +303,7 @@ pub struct StampedEvent {
 }
 
 /// Consumer of observation events. Implementations must be cheap and
-/// must not call back into the kernel (the state lock is held).
+/// must not call back into the kernel (the kernel state is borrowed).
 pub trait ObsSink: Send + Sync {
     /// Receives one event.
     fn event(&self, ev: ObsEvent);
@@ -365,12 +362,11 @@ pub struct StreamStats {
 /// Bounded-ring fan-out from the kernel's [`ObsSink`] hook to
 /// pluggable [`StreamSink`] backends.
 ///
-/// The producer side ([`ObsSink::event_at`], called under the kernel
-/// state lock) appends into a fixed-capacity ring; when the ring is
-/// full it is flushed as one batch to every backend, and a final flush
-/// happens at [`ObsStream::close`]. Memory is bounded by the ring
-/// capacity regardless of run length, replacing the grow-forever
-/// [`VecObsSink`] pattern for long campaigns.
+/// The producer side ([`ObsSink::event_at`], called while the kernel
+/// state is borrowed) appends into a fixed-capacity ring; when the ring
+/// is full it is flushed as one batch to every backend, and a final
+/// flush happens at [`ObsStream::close`]. Memory is bounded by the ring
+/// capacity regardless of run length.
 ///
 /// # Example
 ///
@@ -564,41 +560,6 @@ impl StreamSink for CollectSink {
     }
 }
 
-/// An [`ObsSink`] that records every event in order, for post-run
-/// replay through the oracle.
-#[derive(Debug, Default)]
-pub struct VecObsSink {
-    events: Mutex<Vec<ObsEvent>>,
-}
-
-impl VecObsSink {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes the recorded history (the sink is left empty).
-    pub fn take(&self) -> Vec<ObsEvent> {
-        std::mem::take(&mut self.events.lock().unwrap())
-    }
-
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl ObsSink for VecObsSink {
-    fn event(&self, ev: ObsEvent) {
-        self.events.lock().unwrap().push(ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,20 +667,5 @@ mod tests {
         let stats = stream.close(StreamClose::Aborted);
         assert_eq!(stats.events, 10);
         assert_eq!(stats.dropped, 10);
-    }
-
-    #[test]
-    fn vec_sink_records_in_order() {
-        let s = VecObsSink::new();
-        assert!(s.is_empty());
-        s.event(ObsEvent::TaskStart { tid: TaskId(1) });
-        s.event(ObsEvent::Dispatch {
-            tid: TaskId(1),
-            pri: 10,
-        });
-        assert_eq!(s.len(), 2);
-        let evs = s.take();
-        assert_eq!(evs[0], ObsEvent::TaskStart { tid: TaskId(1) });
-        assert!(s.is_empty());
     }
 }

@@ -12,6 +12,8 @@
 //! T-Kernel service calls (`tk_*`), annotated execution
 //! ([`Sys::exec`]), and BFM access hooks.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use sysc::{ProcCtx, RunOutcome, SimHandle, SimTime, Simulation};
@@ -26,6 +28,16 @@ use crate::trace::TraceSink;
 use crate::tthread::{ExecContext, TThreadInfo};
 
 /// A fully assembled RTK-Spec TRON kernel simulation.
+///
+/// Like the sysc [`Simulation`] it is built on, a kernel lives on the
+/// thread that built it: it is not `Send`. To run kernels in parallel,
+/// send the *recipe* (configuration and a `Send` closure that builds
+/// the kernel) to each worker thread instead.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<rtk_core::Rtos>();
+/// ```
 ///
 /// # Examples
 ///
@@ -45,7 +57,7 @@ use crate::tthread::{ExecContext, TThreadInfo};
 /// ```
 pub struct Rtos {
     sim: Simulation,
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl std::fmt::Debug for Rtos {
@@ -61,7 +73,7 @@ impl Rtos {
     /// (the T-Kernel policy) and the given user main entry.
     pub fn new<F>(cfg: KernelConfig, main: F) -> Self
     where
-        F: FnMut(&mut Sys<'_>, i32) + Send + 'static,
+        F: FnMut(&mut Sys<'_>, i32) + 'static,
     {
         Self::with_scheduler(
             cfg.clone(),
@@ -74,30 +86,24 @@ impl Rtos {
     /// "external schedulers"; used by RTK-Spec I/II).
     pub fn with_scheduler<F>(cfg: KernelConfig, scheduler: Box<dyn Scheduler>, main: F) -> Self
     where
-        F: FnMut(&mut Sys<'_>, i32) + Send + 'static,
+        F: FnMut(&mut Sys<'_>, i32) + 'static,
     {
         let sim = Simulation::new();
-        let h = sim.handle();
-        let shared = Arc::new(Shared {
-            st: parking_lot::Mutex::new(KernelState::new(cfg, scheduler)),
-            h,
-            self_arc: parking_lot::Mutex::new(std::sync::Weak::new()),
-        });
-        *shared.self_arc.lock() = Arc::downgrade(&shared);
-        crate::central::install(&shared, Box::new(main));
+        let shared = Shared::new(KernelState::new(cfg, scheduler), sim.handle());
+        crate::central::install(&shared, Rc::new(RefCell::new(main)));
         Rtos { sim, shared }
     }
 
     /// Attaches a trace sink (Gantt / energy analysis).
     pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) {
-        self.shared.st.lock().sink = sink;
+        self.shared.st.borrow_mut().sink = Some(sink);
     }
 
     /// Attaches an observation sink recording kernel decisions
     /// (dispatches, wakeups, sync-object operations) for differential
     /// checking against a reference model. See [`crate::obs`].
     pub fn set_obs_sink(&self, sink: Arc<dyn crate::obs::ObsSink>) {
-        self.shared.st.lock().obs = Some(sink);
+        self.shared.st.borrow_mut().obs = Some(sink);
     }
 
     /// The underlying sysc simulation handle.
@@ -127,7 +133,7 @@ impl Rtos {
 
     /// Advances one system tick (the paper's *step mode*).
     pub fn step(&mut self) -> RunOutcome {
-        let tick = self.shared.st.lock().cfg.tick;
+        let tick = self.shared.st.borrow().cfg.tick;
         self.sim.run_for(tick)
     }
 
@@ -135,13 +141,13 @@ impl Rtos {
     /// interrupt controller) raise interrupts.
     pub fn int_port(&self) -> IntPort {
         IntPort {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
         }
     }
 
     /// Snapshot of every registered T-THREAD (SIM_HashTB contents).
     pub fn threads(&self) -> Vec<TThreadInfo> {
-        let st = self.shared.st.lock();
+        let st = self.shared.st.borrow();
         st.threads
             .values()
             .map(|rec| TThreadInfo {
@@ -156,7 +162,7 @@ impl Rtos {
 
     /// Accumulated CPU idle time and idle energy.
     pub fn idle_stats(&self) -> (SimTime, Energy) {
-        let mut st = self.shared.st.lock();
+        let mut st = self.shared.st.borrow_mut();
         // Close any open idle span up to "now" for accurate reporting.
         let now = self.sim.now();
         if st.idle_since.is_some() {
@@ -168,7 +174,7 @@ impl Rtos {
 
     /// The debugger-support interface (T-Kernel/DS).
     pub fn ds(&self) -> crate::ds::Ds {
-        crate::ds::Ds::new(Arc::clone(&self.shared))
+        crate::ds::Ds::new(Rc::clone(&self.shared))
     }
 
     /// sysc kernel statistics (event counts etc.).
@@ -177,13 +183,13 @@ impl Rtos {
     }
 
     /// A cheap aggregate snapshot of the whole run: one kernel-state
-    /// lock, one pass over the (small) SIM_HashTB. This is the
+    /// borrow, one pass over the (small) SIM_HashTB. This is the
     /// per-scenario measurement surface of the simulation farm —
     /// everything here is derived from *simulated* quantities, so a
     /// given workload produces an identical snapshot on every host.
     pub fn run_stats(&self) -> RunStats {
         let now = self.sim.now();
-        let mut st = self.shared.st.lock();
+        let mut st = self.shared.st.borrow_mut();
         // Close any open idle span up to "now" for accurate reporting.
         if st.idle_since.is_some() {
             st.leave_idle(now);
@@ -217,9 +223,10 @@ impl Drop for Rtos {
         // Task and handler bodies may own handles back to `Shared`
         // (an `IntPort`, a BFM that holds one); left in the kernel state
         // they would keep it, and themselves, alive forever. They are
-        // dropped outside the kernel lock, since a `Drop` may call in.
+        // dropped after the state borrow ends, since a `Drop` may call
+        // in.
         let bodies = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             (
                 std::mem::take(&mut st.tasks),
                 std::mem::take(&mut st.cycs),
@@ -272,7 +279,7 @@ impl RunStats {
 /// kernel's Interrupt Dispatch module.
 #[derive(Clone)]
 pub struct IntPort {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl std::fmt::Debug for IntPort {
@@ -288,8 +295,8 @@ impl IntPort {
         self.raise_many(&[(intno, level)]);
     }
 
-    /// Queues a burst of interrupt requests under a single kernel-state
-    /// lock and a single Interrupt Dispatch wake-up — the fast path for
+    /// Queues a burst of interrupt requests in a single kernel-state
+    /// borrow and a single Interrupt Dispatch wake-up — the fast path for
     /// hardware models that deliver several latched requests at once
     /// (e.g. the interrupt controller flushing on a global enable).
     pub fn raise_many(&self, requests: &[(IntNo, u8)]) {
@@ -297,7 +304,7 @@ impl IntPort {
             return;
         }
         let ev = {
-            let mut st = self.shared.st.lock();
+            let mut st = self.shared.st.borrow_mut();
             st.pending_ints.extend(
                 requests
                     .iter()
@@ -315,7 +322,7 @@ impl IntPort {
 /// user main entry. All T-Kernel services (`tk_*`) are methods on this
 /// type, implemented across the `kernel` submodules.
 pub struct Sys<'a> {
-    pub(crate) shared: Arc<Shared>,
+    pub(crate) shared: Rc<Shared>,
     pub(crate) proc: &'a mut ProcCtx,
     pub(crate) who: ThreadRef,
 }
@@ -356,12 +363,12 @@ impl<'a> Sys<'a> {
     /// atomicity: the cost is uninterruptible).
     pub(crate) fn service_cost(&mut self, class: ServiceClass, name: &'static str) {
         let cost = {
-            let st = self.shared.st.lock();
+            let st = self.shared.st.borrow();
             st.cfg.cost.service(class)
         };
         if !cost.is_zero() {
-            let shared = Arc::clone(&self.shared);
-            shared.sim_wait_atomic(self.proc, self.who, ExecContext::ServiceCall, name, cost);
+            self.shared
+                .sim_wait_atomic(self.proc, self.who, ExecContext::ServiceCall, name, cost);
         }
     }
 
@@ -369,8 +376,7 @@ impl<'a> Sys<'a> {
     /// request raised during the (atomic) service takes effect.
     pub(crate) fn service_exit(&mut self) {
         if let ThreadRef::Task(tid) = self.who {
-            let shared = Arc::clone(&self.shared);
-            shared.preemption_point(self.proc, tid);
+            self.shared.preemption_point(self.proc, tid);
         }
     }
 
@@ -391,8 +397,7 @@ impl<'a> Sys<'a> {
             ThreadRef::Task(_) => ExecContext::TaskBody,
             _ => ExecContext::Handler,
         };
-        let shared = Arc::clone(&self.shared);
-        shared.sim_wait(self.proc, self.who, ctx, label, cost);
+        self.shared.sim_wait(self.proc, self.who, ctx, label, cost);
     }
 
     /// Performs a BFM access: an uninterruptible bus transaction with a
@@ -400,8 +405,8 @@ impl<'a> Sys<'a> {
     /// will be associated with a cycle budget ... and an estimation on
     /// the energy consumed during that BFM access").
     pub fn bfm_access(&mut self, label: &str, cost: Cost) {
-        let shared = Arc::clone(&self.shared);
-        shared.sim_wait_atomic(self.proc, self.who, ExecContext::BfmAccess, label, cost);
+        self.shared
+            .sim_wait_atomic(self.proc, self.who, ExecContext::BfmAccess, label, cost);
     }
 }
 

@@ -1,15 +1,18 @@
 //! Shared kernel state: the SIM_HashTB thread table, the task/object
 //! tables, the ready queue, the interrupt stack and the timer queue.
 //!
-//! Everything lives behind one mutex ([`Shared`]); the sysc kernel's
-//! one-process-at-a-time guarantee means the lock is uncontended and
-//! purely a Rust-safety device. Methods on [`Shared`] are spread across
-//! the `sim_api` and `kernel` modules by concern.
+//! Everything lives in one `RefCell` ([`Shared`]), owned by the
+//! simulation's single host thread: the sysc kernel runs one process
+//! at a time, so a borrow is never contended, and a borrow held across
+//! a context switch would panic instead of deadlocking. Methods on
+//! [`Shared`] are spread across the `sim_api` and `kernel` modules by
+//! concern.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use sysc::{EventId, ProcId, SimHandle, SimTime, TimingWheel};
 
 use crate::config::{KernelConfig, Priority};
@@ -17,7 +20,7 @@ use crate::cost::Energy;
 use crate::error::ErCode;
 use crate::ids::*;
 use crate::sim_api::scheduler::Scheduler;
-use crate::trace::{NullSink, TraceSink};
+use crate::trace::{TraceRecord, TraceSink};
 use crate::tthread::{ExecContext, TThreadKind, TThreadStats};
 
 /// Timeout of a blocking service call (µ-ITRON `TMO`).
@@ -255,10 +258,10 @@ impl TThreadRec {
 
 /// Task body signature: the task receives its service-call context and
 /// the start code passed to `tk_sta_tsk`.
-pub type TaskBody = dyn FnMut(&mut crate::rtos::Sys<'_>, i32) + Send;
+pub type TaskBody = dyn FnMut(&mut crate::rtos::Sys<'_>, i32);
 
 /// Handler body signature (cyclic, alarm and interrupt handlers).
-pub type HandlerBody = dyn FnMut(&mut crate::rtos::Sys<'_>) + Send;
+pub type HandlerBody = dyn FnMut(&mut crate::rtos::Sys<'_>);
 
 /// Task control block.
 pub(crate) struct Tcb {
@@ -278,7 +281,7 @@ pub(crate) struct Tcb {
     pub wait_gen: u64,
     pub wait_result: Option<(Result<(), ErCode>, Delivered)>,
     pub held_mutexes: Vec<MtxId>,
-    pub body: Arc<Mutex<Box<TaskBody>>>,
+    pub body: Rc<RefCell<TaskBody>>,
     /// Start code of the current activation.
     pub stacd: i32,
     /// `true` if the task is in the ready queue because it was preempted
@@ -363,7 +366,9 @@ pub(crate) struct KernelState {
     due_timers: VecDeque<TimerAction>,
     /// Reused scratch buffer for wheel drains (per-tick hot path).
     due_scratch: Vec<sysc::TimedEntry<TimerAction>>,
-    pub sink: Arc<dyn TraceSink>,
+    /// Execution-trace sink (Fig. 6 / energy analysis); `None` costs
+    /// one branch per trace point and builds no record.
+    pub sink: Option<Arc<dyn TraceSink>>,
     /// Observation hook for differential (oracle) checking; `None`
     /// costs one branch per decision point.
     pub obs: Option<Arc<dyn crate::obs::ObsSink>>,
@@ -412,7 +417,7 @@ impl KernelState {
             timeq: TimingWheel::new(),
             due_timers: VecDeque::new(),
             due_scratch: Vec::new(),
-            sink: Arc::new(NullSink),
+            sink: None,
             obs: None,
             dispatches: 0,
             idle_time: SimTime::ZERO,
@@ -464,6 +469,16 @@ impl KernelState {
 
     pub(crate) fn thread_mut(&mut self, who: ThreadRef) -> &mut TThreadRec {
         self.threads.get_mut(&who).expect("unregistered T-THREAD")
+    }
+
+    /// Hands one execution-trace record to the attached sink, if any.
+    /// `record` runs only when a sink is attached, so untraced runs
+    /// build no record.
+    #[inline]
+    pub(crate) fn trace(&self, record: impl FnOnce() -> TraceRecord) {
+        if let Some(sink) = &self.sink {
+            sink.record(record());
+        }
     }
 
     /// Reports one observation event to the attached sink, if any.
@@ -522,11 +537,27 @@ impl KernelState {
 /// The shared kernel: state plus the sysc handle. All SIM_API and
 /// T-Kernel service implementations are methods on this type.
 pub struct Shared {
-    pub(crate) st: Mutex<KernelState>,
+    pub(crate) st: RefCell<KernelState>,
     pub(crate) h: SimHandle,
     /// Weak self-pointer so `&self` methods can hand owning clones to
     /// spawned process closures.
-    pub(crate) self_arc: Mutex<std::sync::Weak<Shared>>,
+    me: Weak<Shared>,
+}
+
+impl Shared {
+    /// Builds the kernel around its state and the sysc handle.
+    pub(crate) fn new(st: KernelState, h: SimHandle) -> Rc<Shared> {
+        Rc::new_cyclic(|me| Shared {
+            st: RefCell::new(st),
+            h,
+            me: me.clone(),
+        })
+    }
+
+    /// Recovers the owning `Rc<Shared>` from a `&self` receiver.
+    pub(crate) fn owner(&self) -> Rc<Shared> {
+        self.me.upgrade().expect("Shared is alive while borrowed")
+    }
 }
 
 impl std::fmt::Debug for Shared {

@@ -65,19 +65,13 @@ impl TraceRecord {
     }
 }
 
-/// Consumer of trace records. Implementations must be cheap and must not
-/// call back into the kernel.
+/// Consumer of trace records, attached with
+/// [`Rtos::set_trace_sink`](crate::Rtos::set_trace_sink). With no sink
+/// attached the kernel builds no records. Implementations must be cheap
+/// and must not call back into the kernel.
 pub trait TraceSink: Send + Sync {
     /// Receives one record.
     fn record(&self, rec: TraceRecord);
-}
-
-/// A sink that discards everything (the default).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _rec: TraceRecord) {}
 }
 
 #[cfg(test)]
@@ -108,19 +102,6 @@ mod tests {
             energy: Energy::ZERO,
         };
         assert_eq!(point.duration(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn null_sink_accepts_records() {
-        let s = NullSink;
-        s.record(TraceRecord {
-            start: SimTime::ZERO,
-            end: SimTime::ZERO,
-            who: ThreadRef::Timer,
-            name: "timer".into(),
-            kind: TraceKind::Startup,
-            energy: Energy::ZERO,
-        });
     }
 
     #[test]

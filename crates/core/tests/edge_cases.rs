@@ -2,6 +2,8 @@
 //! wake races, queue-order attributes under contention, calibration,
 //! and restart cycles.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -321,8 +323,8 @@ fn drop_releases_handler_bodies() {
     }
 
     let drops = Arc::new(AtomicU64::new(0));
-    let port = Arc::new(Mutex::new(None));
-    let mut captured = Some((DropFlag(Arc::clone(&drops)), Arc::clone(&port)));
+    let port = Rc::new(RefCell::new(None));
+    let mut captured = Some((DropFlag(Arc::clone(&drops)), Rc::clone(&port)));
     let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
         let held = captured.take().expect("the main entry runs once");
         sys.tk_cre_cyc("holder", ms(1), SimTime::ZERO, true, move |_| {
@@ -330,7 +332,7 @@ fn drop_releases_handler_bodies() {
         })
         .unwrap();
     });
-    *port.lock().unwrap() = Some(rtos.int_port());
+    *port.borrow_mut() = Some(rtos.int_port());
     drop(port);
     rtos.run_for(ms(5));
     drop(rtos);

@@ -6,10 +6,11 @@
 //! [`ScenarioOutcome`] (and its digest) is identical no matter which
 //! worker thread — or host — executed the job.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use rtk_analysis::static_verify::Conformance;
@@ -178,38 +179,37 @@ impl ScenarioOutcome {
     }
 }
 
-/// Per-run measurement shared between the workload closures. All
-/// access happens from inside one sysc simulation (one process at a
-/// time), so the mutexes are uncontended Rust-safety devices.
+/// Per-run measurement shared between the workload closures. It lives
+/// on the thread that runs the scenario's simulation, like the kernel.
 struct Collect {
     /// Release timestamps (µs) not yet consumed, per task.
-    pending: Vec<Mutex<VecDeque<u64>>>,
+    pending: Vec<RefCell<VecDeque<u64>>>,
     /// Releases issued, per task.
-    releases: Vec<AtomicU64>,
+    releases: Vec<Cell<u64>>,
     /// Jobs completed, per task.
-    completions: Vec<AtomicU64>,
-    latencies_us: Mutex<Vec<u64>>,
-    misses: AtomicU64,
+    completions: Vec<Cell<u64>>,
+    latencies_us: RefCell<Vec<u64>>,
+    misses: Cell<u64>,
     /// Simulated time (µs) of the most recent completion, any task.
-    last_completion_us: AtomicU64,
+    last_completion_us: Cell<u64>,
     /// Worst response latency per task among jobs released at or
     /// after [`WARMUP_US`] (static-bound cross-check input).
-    max_latency_us: Vec<AtomicU64>,
+    max_latency_us: Vec<Cell<u64>>,
     /// Deadline misses among jobs released at or after [`WARMUP_US`].
-    post_warmup_misses: AtomicU64,
+    post_warmup_misses: Cell<u64>,
 }
 
 impl Collect {
     fn new(ntasks: usize) -> Self {
         Collect {
-            pending: (0..ntasks).map(|_| Mutex::new(VecDeque::new())).collect(),
-            releases: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
-            completions: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
-            latencies_us: Mutex::new(Vec::new()),
-            misses: AtomicU64::new(0),
-            last_completion_us: AtomicU64::new(0),
-            max_latency_us: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
-            post_warmup_misses: AtomicU64::new(0),
+            pending: (0..ntasks).map(|_| RefCell::default()).collect(),
+            releases: (0..ntasks).map(|_| Cell::new(0)).collect(),
+            completions: (0..ntasks).map(|_| Cell::new(0)).collect(),
+            latencies_us: RefCell::default(),
+            misses: Cell::new(0),
+            last_completion_us: Cell::new(0),
+            max_latency_us: (0..ntasks).map(|_| Cell::new(0)).collect(),
+            post_warmup_misses: Cell::new(0),
         }
     }
 }
@@ -332,7 +332,7 @@ fn run_scenario_recorded(
         ..ScenarioOutcome::default()
     };
 
-    let collect = Arc::new(Collect::new(spec.tasks.len()));
+    let collect = Rc::new(Collect::new(spec.tasks.len()));
 
     // Assemble the observation pipeline: every consumer is a sink on
     // one shared stream, so the kernel pays for instrumentation once
@@ -385,7 +385,7 @@ fn run_scenario_recorded(
     let obs = any_sink.then(|| Arc::new(stream));
 
     let result = {
-        let collect = Arc::clone(&collect);
+        let collect = Rc::clone(&collect);
         let obs = obs.clone();
         let spec = spec.clone();
         catch_unwind(AssertUnwindSafe(move || execute(&spec, &collect, obs)))
@@ -433,19 +433,15 @@ fn run_scenario_recorded(
         Ok((engine_outcome, stats)) => {
             out.engine_outcome = engine_outcome;
             out.stats = stats;
-            out.latencies_us = collect.latencies_us.lock().unwrap().clone();
-            out.deadline_misses = collect.misses.load(Ordering::Relaxed);
+            out.latencies_us = collect.latencies_us.borrow().clone();
+            out.deadline_misses = collect.misses.get();
             if analyze {
-                out.max_latency_by_task = collect
-                    .max_latency_us
-                    .iter()
-                    .map(|m| m.load(Ordering::Relaxed))
-                    .collect();
-                out.post_warmup_misses = collect.post_warmup_misses.load(Ordering::Relaxed);
+                out.max_latency_by_task = collect.max_latency_us.iter().map(Cell::get).collect();
+                out.post_warmup_misses = collect.post_warmup_misses.get();
             }
             for i in 0..spec.tasks.len() {
-                let rel = collect.releases[i].load(Ordering::Relaxed);
-                let cmp = collect.completions[i].load(Ordering::Relaxed);
+                let rel = collect.releases[i].get();
+                let cmp = collect.completions[i].get();
                 out.releases += rel;
                 out.completions += cmp;
                 if rel >= 4 && cmp == 0 {
@@ -478,7 +474,7 @@ fn run_scenario_recorded(
                     .map(|t| u64::from(t.period_ms) * 1000)
                     .max()
                     .unwrap_or(0);
-                let last_us = collect.last_completion_us.load(Ordering::Relaxed);
+                let last_us = collect.last_completion_us.get();
                 let backlog = out.releases - out.completions;
                 out.stalled |= out.completions == 0
                     || (backlog > 0 && last_us + 2 * max_period_us < horizon_us);
@@ -492,7 +488,7 @@ fn run_scenario_recorded(
 /// the final stats snapshot.
 fn execute(
     spec: &ScenarioSpec,
-    collect: &Arc<Collect>,
+    collect: &Rc<Collect>,
     obs: Option<Arc<ObsStream>>,
 ) -> (&'static str, RunStats) {
     let order = if spec.priority_queues {
@@ -508,7 +504,7 @@ fn execute(
     let top_pri = spec.tasks.iter().map(|t| t.priority).min().unwrap_or(1);
 
     let mut rtos = {
-        let collect = Arc::clone(collect);
+        let collect = Rc::clone(collect);
         let spec = spec.clone();
         Rtos::new(KernelConfig::paper(), move |sys, _| {
             // Shared objects of the topology.
@@ -740,7 +736,7 @@ fn execute(
                 // cycle, so the latency of the deferred job includes
                 // the full extra period.
                 {
-                    let collect = Arc::clone(&collect);
+                    let collect = Rc::clone(&collect);
                     let delay_nth = spec.faults.delay_every_nth_release;
                     let mut deferred: u32 = 0;
                     sys.tk_cre_cyc(
@@ -750,8 +746,9 @@ fn execute(
                         true,
                         move |sys| {
                             let now_us = sys.now().as_us();
-                            collect.pending[i].lock().unwrap().push_back(now_us);
-                            let n = collect.releases[i].fetch_add(1, Ordering::Relaxed) + 1;
+                            collect.pending[i].borrow_mut().push_back(now_us);
+                            collect.releases[i].update(|n| n + 1);
+                            let n = collect.releases[i].get();
                             let defer =
                                 delay_nth.is_some_and(|nth| n.is_multiple_of(u64::from(nth)));
                             if defer {
@@ -766,7 +763,7 @@ fn execute(
                 }
 
                 // Consumer side: the periodic task.
-                let collect = Arc::clone(&collect);
+                let collect = Rc::clone(&collect);
                 let topology = spec.topology;
                 let exec_us = u64::from(task.exec_us);
                 let deadline_us = u64::from(task.period_ms) * 1000;
@@ -778,8 +775,7 @@ fn execute(
                         }
                         jobs += 1;
                         let release_us = collect.pending[i]
-                            .lock()
-                            .unwrap()
+                            .borrow_mut()
                             .pop_front()
                             .expect("every gate signal has a release stamp");
                         match topology {
@@ -919,21 +915,19 @@ fn execute(
                         }
                         let now_us = sys.now().as_us();
                         let latency = now_us - release_us;
-                        collect.latencies_us.lock().unwrap().push(latency);
-                        collect.completions[i].fetch_add(1, Ordering::Relaxed);
-                        collect
-                            .last_completion_us
-                            .fetch_max(now_us, Ordering::Relaxed);
+                        collect.latencies_us.borrow_mut().push(latency);
+                        collect.completions[i].update(|n| n + 1);
+                        collect.last_completion_us.update(|t| t.max(now_us));
                         if latency > deadline_us {
-                            collect.misses.fetch_add(1, Ordering::Relaxed);
+                            collect.misses.update(|n| n + 1);
                         }
                         // Steady-state view for the static analyzer:
                         // jobs released during the boot/creation
                         // transient are exempt (docs/STATIC_ANALYSIS.md).
                         if release_us >= WARMUP_US {
-                            collect.max_latency_us[i].fetch_max(latency, Ordering::Relaxed);
+                            collect.max_latency_us[i].update(|m| m.max(latency));
                             if latency > deadline_us {
-                                collect.post_warmup_misses.fetch_add(1, Ordering::Relaxed);
+                                collect.post_warmup_misses.update(|n| n + 1);
                             }
                         }
                     }

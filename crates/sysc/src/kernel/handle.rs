@@ -3,8 +3,7 @@
 //! [`NotifyBatch`]).
 
 use std::panic;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::ids::{EventId, ProcId};
 use crate::runtime::coro::{CoroShared, Terminal};
@@ -19,10 +18,15 @@ use super::{Kernel, MethodCtx, ProcCtx, SpawnMode};
 
 /// Cloneable handle to a simulation: event/process creation and
 /// notification. Usable from the embedding code and from inside process
-/// bodies.
+/// bodies, on the simulation's own thread only:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<sysc::SimHandle>();
+/// ```
 #[derive(Clone)]
 pub struct SimHandle {
-    pub(crate) k: Arc<Kernel>,
+    pub(crate) k: Rc<Kernel>,
 }
 
 impl std::fmt::Debug for SimHandle {
@@ -34,17 +38,17 @@ impl std::fmt::Debug for SimHandle {
 impl SimHandle {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.k.st.lock().now
+        self.k.st.borrow().now
     }
 
     /// Kernel activity counters.
     pub fn stats(&self) -> KernelStats {
-        self.k.st.lock().stats
+        self.k.st.borrow().stats
     }
 
     /// Creates a named event.
     pub fn create_event(&self, name: &str) -> EventId {
-        let mut st = self.k.st.lock();
+        let mut st = self.k.st.borrow_mut();
         let id = EventId(st.events.len() as u32);
         st.events.push(EventEntry::new(name));
         id
@@ -53,27 +57,26 @@ impl SimHandle {
     /// Immediate notification: fires now, waking waiters into the current
     /// evaluation phase. Overrides (cancels) any pending notification.
     pub fn notify(&self, e: EventId) {
-        self.k.st.lock().notify_now_locked(e);
+        self.k.st.borrow_mut().notify_now(e);
     }
 
-    /// Immediately notifies several events under a single kernel-lock
-    /// acquisition, in order. Equivalent to calling
-    /// [`SimHandle::notify`] for each, minus the per-event locking —
+    /// Immediately notifies several events in one kernel-state borrow,
+    /// in order. Equivalent to calling [`SimHandle::notify`] for each —
     /// the dispatch fast path for models that fan one hardware action
     /// out to several events.
     pub fn notify_many(&self, events: &[EventId]) {
         if events.is_empty() {
             return;
         }
-        let mut st = self.k.st.lock();
+        let mut st = self.k.st.borrow_mut();
         for &e in events {
-            st.notify_now_locked(e);
+            st.notify_now(e);
         }
     }
 
     /// Starts a deferred notification batch: notifications recorded on
     /// the batch are published by [`NotifyBatch::commit`] (or drop)
-    /// under one kernel-lock acquisition.
+    /// in one kernel-state borrow.
     ///
     /// # Examples
     ///
@@ -100,19 +103,19 @@ impl SimHandle {
     /// Delta notification: fires in the next delta cycle. Overrides a
     /// pending timed notification; keeps an existing delta notification.
     pub fn notify_delta(&self, e: EventId) {
-        self.k.st.lock().notify_delta_locked(e);
+        self.k.st.borrow_mut().notify_delta(e);
     }
 
     /// Timed notification after `delay`. Follows the `sc_event` override
     /// rule: an earlier pending notification wins; a later one is
     /// replaced. A zero delay degenerates to a delta notification.
     pub fn notify_after(&self, e: EventId, delay: SimTime) {
-        self.k.st.lock().notify_after_locked(e, delay);
+        self.k.st.borrow_mut().notify_after(e, delay);
     }
 
     /// Cancels any pending (delta or timed) notification.
     pub fn cancel(&self, e: EventId) {
-        let mut st = self.k.st.lock();
+        let mut st = self.k.st.borrow_mut();
         let ev = &mut st.events[e.index()];
         ev.gen += 1;
         ev.pending = Pending::None;
@@ -124,35 +127,35 @@ impl SimHandle {
     /// insert, not a heap push.
     pub fn make_periodic(&self, e: EventId, period: SimTime, first_after: SimTime) {
         assert!(!period.is_zero(), "periodic event needs a non-zero period");
-        let mut st = self.k.st.lock();
+        let mut st = self.k.st.borrow_mut();
         st.events[e.index()].auto_renotify = Some(period);
-        st.notify_after_locked(e, first_after);
+        st.notify_after(e, first_after);
     }
 
     /// Stops the periodic re-notification of an event (the currently
     /// pending firing, if any, still happens unless cancelled).
     pub fn stop_periodic(&self, e: EventId) {
-        self.k.st.lock().events[e.index()].auto_renotify = None;
+        self.k.st.borrow_mut().events[e.index()].auto_renotify = None;
     }
 
     /// Number of times the event has fired.
     pub fn event_fire_count(&self, e: EventId) -> u64 {
-        self.k.st.lock().events[e.index()].fire_count
+        self.k.st.borrow().events[e.index()].fire_count
     }
 
     /// The event's name.
     pub fn event_name(&self, e: EventId) -> String {
-        self.k.st.lock().events[e.index()].name.clone()
+        self.k.st.borrow().events[e.index()].name.clone()
     }
 
     /// The process's name.
     pub fn proc_name(&self, p: ProcId) -> String {
-        self.k.st.lock().procs.get(p).name.clone()
+        self.k.st.borrow().procs.get(p).name.clone()
     }
 
     /// Whether the process has finished (returned or been killed).
     pub fn is_finished(&self, p: ProcId) -> bool {
-        self.k.st.lock().procs.get(p).state == ProcState::Finished
+        self.k.st.borrow().procs.get(p).state == ProcState::Finished
     }
 
     /// Spawns a thread process. The body runs as a stackful coroutine
@@ -162,16 +165,17 @@ impl SimHandle {
     /// paying a stack allocation per process.
     pub fn spawn_thread<F>(&self, name: &str, mode: SpawnMode, body: F) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(&mut ProcCtx) + 'static,
     {
-        let shared = CoroShared::new(Arc::clone(&self.k.rt));
-        let id = {
-            let mut st = self.k.st.lock();
-            st.procs
-                .push(ProcEntry::new_thread(name, Arc::clone(&shared)))
-        };
+        let shared = CoroShared::new(Rc::clone(&self.k.rt));
+        let id = self
+            .k
+            .st
+            .borrow_mut()
+            .procs
+            .push(ProcEntry::new_thread(name, Rc::clone(&shared)));
         launch(&shared, self.clone(), id, body);
-        let mut st = self.k.st.lock();
+        let mut st = self.k.st.borrow_mut();
         match mode {
             SpawnMode::Immediate => st.dq.runnable.push_back(id),
             SpawnMode::WaitEvent(e) => {
@@ -200,10 +204,10 @@ impl SimHandle {
         callback: F,
     ) -> ProcId
     where
-        F: FnMut(&mut MethodCtx) + Send + 'static,
+        F: FnMut(&mut MethodCtx) + 'static,
     {
         let slot = MethodSlot::new(Box::new(callback));
-        let mut st = self.k.st.lock();
+        let mut st = self.k.st.borrow_mut();
         let id = st
             .procs
             .push(ProcEntry::new_method(name, slot, run_at_start));
@@ -226,22 +230,22 @@ impl SimHandle {
     /// itself with [`ProcCtx::exit`] instead.
     pub fn kill(&self, p: ProcId) {
         assert!(
-            self.k.current.load(Ordering::Relaxed) != p.index() as u32,
+            self.k.current.get() != p.index() as u32,
             "a process cannot kill itself; use ProcCtx::exit"
         );
         enum Victim {
-            Thread(Arc<CoroShared>),
-            Method(Arc<MethodSlot>),
+            Thread(Rc<CoroShared>),
+            Method(Rc<MethodSlot>),
         }
         let victim = {
-            let mut st = self.k.st.lock();
+            let mut st = self.k.st.borrow_mut();
             if st.procs.get(p).state == ProcState::Finished {
                 return;
             }
             st.procs.get_mut(p).finish();
             match &st.procs.get(p).body {
-                ProcBody::Thread { shared } => Victim::Thread(Arc::clone(shared)),
-                ProcBody::Method { slot, .. } => Victim::Method(Arc::clone(slot)),
+                ProcBody::Thread { shared } => Victim::Thread(Rc::clone(shared)),
+                ProcBody::Method { slot, .. } => Victim::Method(Rc::clone(slot)),
             }
         };
         match victim {
@@ -253,14 +257,14 @@ impl SimHandle {
                 }
             }
             // Drop the callback so a queued activation is a no-op.
-            Victim::Method(slot) => drop(slot.cb.lock().take()),
+            Victim::Method(slot) => drop(slot.cb.borrow_mut().take()),
         }
     }
 
     /// Queues an update target for the next update phase (signal
     /// infrastructure; see [`crate::Signal`]).
-    pub(crate) fn request_update(&self, target: Arc<dyn UpdateTarget>) {
-        self.k.st.lock().dq.updates.push(target);
+    pub(crate) fn request_update(&self, target: Rc<dyn UpdateTarget>) {
+        self.k.st.borrow_mut().dq.updates.push(target);
     }
 }
 
@@ -272,13 +276,13 @@ impl SimHandle {
 /// when a kill/teardown is waiting, chained finish bookkeeping
 /// otherwise). It **returns** the final transfer as a [`Terminal`] so
 /// the last context switch executes after the wrapper frame — and every
-/// `Arc` it held — is gone (see [`crate::runtime::coro`] on leak-free
+/// `Rc` it held — is gone (see [`crate::runtime::coro`] on leak-free
 /// teardown).
-fn launch<F>(shared: &Arc<CoroShared>, handle: SimHandle, id: ProcId, body: F)
+fn launch<F>(shared: &Rc<CoroShared>, handle: SimHandle, id: ProcId, body: F)
 where
-    F: FnOnce(&mut ProcCtx) + Send + 'static,
+    F: FnOnce(&mut ProcCtx) + 'static,
 {
-    let shared2 = Arc::clone(shared);
+    let shared2 = Rc::clone(shared);
     shared.set_entry(Box::new(move || -> Terminal {
         let reason = match shared2.await_cmd() {
             // Unreachable in practice (a terminate before first
@@ -287,10 +291,10 @@ where
             Cmd::Terminate => return Terminal::Link(Reply::Finished),
             Cmd::Run(reason) => reason,
         };
-        let k = Arc::clone(&handle.k);
+        let k = Rc::clone(&handle.k);
         let mut ctx = ProcCtx {
             handle,
-            shared: Arc::clone(&shared2),
+            shared: Rc::clone(&shared2),
             id,
             last_reason: reason,
         };
@@ -313,7 +317,7 @@ where
 }
 
 /// A deferred notification buffer: records notifications locally and
-/// publishes them all under a single kernel-lock acquisition on
+/// publishes them all in a single kernel-state borrow on
 /// [`NotifyBatch::commit`] (or when dropped). Built by
 /// [`SimHandle::batch`]; used by peripheral models that emit several
 /// notifications per hardware action.
@@ -357,18 +361,18 @@ impl NotifyBatch {
         self.ops.is_empty()
     }
 
-    /// Publishes all recorded notifications, in recording order, under
-    /// one kernel-lock acquisition. The batch can be reused afterwards.
+    /// Publishes all recorded notifications, in recording order, in one
+    /// kernel-state borrow. The batch can be reused afterwards.
     pub fn commit(&mut self) {
         if self.ops.is_empty() {
             return;
         }
-        let mut st = self.h.k.st.lock();
+        let mut st = self.h.k.st.borrow_mut();
         for (e, op) in self.ops.drain(..) {
             match op {
-                BatchedNotify::Now => st.notify_now_locked(e),
-                BatchedNotify::Delta => st.notify_delta_locked(e),
-                BatchedNotify::After(d) => st.notify_after_locked(e, d),
+                BatchedNotify::Now => st.notify_now(e),
+                BatchedNotify::Delta => st.notify_delta(e),
+                BatchedNotify::After(d) => st.notify_after(e, d),
             }
         }
     }

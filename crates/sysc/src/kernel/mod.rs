@@ -18,10 +18,9 @@ mod procs;
 mod sched;
 pub(crate) mod wheel;
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::ids::{EventId, ProcId};
 use crate::runtime::coro::{CoroRt, CoroShared};
@@ -69,21 +68,26 @@ pub enum SpawnMode {
 }
 
 pub(crate) struct Kernel {
-    pub(crate) st: Mutex<KState>,
+    pub(crate) st: RefCell<KState>,
     /// Index of the currently executing process (`CURRENT_NONE` when
-    /// the scheduler itself runs); outside the lock so the method fast
-    /// path never re-locks just for bookkeeping.
-    pub(crate) current: AtomicU32,
-    /// Mirrors `st.tracer.is_some()` so hot paths can skip tracing
-    /// without taking the lock.
-    pub(crate) tracing: AtomicBool,
+    /// the scheduler itself runs).
+    pub(crate) current: Cell<u32>,
     /// The coroutine runtime: the root context and the chained-dispatch
     /// gate token (see [`crate::runtime`]).
-    pub(crate) rt: Arc<CoroRt>,
+    pub(crate) rt: Rc<CoroRt>,
 }
 
 /// The simulation owner: spawns processes, runs the scheduler, and tears
 /// everything down on drop.
+///
+/// A simulation lives on the thread that built it: like SystemC's, its
+/// processes are coroutines of one host thread, so neither it nor its
+/// [`SimHandle`]s are `Send`. Build it on the thread that runs it.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<sysc::Simulation>();
+/// ```
 ///
 /// # Examples
 ///
@@ -102,7 +106,7 @@ pub(crate) struct Kernel {
 /// assert_eq!(sim.handle().event_fire_count(done), 1);
 /// ```
 pub struct Simulation {
-    k: Arc<Kernel>,
+    k: Rc<Kernel>,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -125,10 +129,9 @@ impl Simulation {
     /// [`Simulation::run_until`].
     pub fn new() -> Self {
         Simulation {
-            k: Arc::new(Kernel {
-                st: Mutex::new(KState::new()),
-                current: AtomicU32::new(CURRENT_NONE),
-                tracing: AtomicBool::new(false),
+            k: Rc::new(Kernel {
+                st: RefCell::new(KState::new()),
+                current: Cell::new(CURRENT_NONE),
                 rt: CoroRt::new(),
             }),
         }
@@ -137,35 +140,33 @@ impl Simulation {
     /// A cloneable handle for creating events/processes and notifying.
     pub fn handle(&self) -> SimHandle {
         SimHandle {
-            k: Arc::clone(&self.k),
+            k: Rc::clone(&self.k),
         }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.k.st.lock().now
+        self.k.st.borrow().now
     }
 
     /// Kernel activity counters.
     pub fn stats(&self) -> KernelStats {
-        self.k.st.lock().stats
+        self.k.st.borrow().stats
     }
 
     /// Attaches a tracer (replacing any previous one).
     pub fn set_tracer(&self, tracer: Arc<dyn Tracer>) {
-        self.k.st.lock().tracer = Some(tracer);
-        self.k.tracing.store(true, Ordering::Relaxed);
+        self.k.st.borrow_mut().tracer = Some(tracer);
     }
 
     /// Removes the tracer.
     pub fn clear_tracer(&self) {
-        self.k.st.lock().tracer = None;
-        self.k.tracing.store(false, Ordering::Relaxed);
+        self.k.st.borrow_mut().tracer = None;
     }
 
     /// Sets the delta-cycle limit per timestep (oscillation guard).
     pub fn set_max_deltas_per_timestep(&self, limit: u64) {
-        self.k.st.lock().max_deltas_per_timestep = limit;
+        self.k.st.borrow_mut().max_deltas_per_timestep = limit;
     }
 
     /// Runs until simulated time reaches `limit` (inclusive of activity
@@ -196,7 +197,7 @@ impl Simulation {
     /// Earliest pending timed activity, if any (may include cancelled
     /// entries; intended for step-mode heuristics only).
     pub fn next_activity_at(&self) -> Option<SimTime> {
-        self.k.st.lock().wheel.next_at().map(SimTime::from_ps)
+        self.k.st.borrow().wheel.next_at().map(SimTime::from_ps)
     }
 }
 
@@ -210,22 +211,22 @@ impl Drop for Simulation {
         // Method callbacks, queued signal updates and the tracer may own
         // `SimHandle`s, i.e. the kernel itself: they are released too, or
         // the kernel would keep itself alive. Everything is dropped
-        // outside the kernel lock, since a `Drop` impl may call back in.
+        // after the state borrow ends, since a `Drop` impl may call back
+        // in.
         let mut threads = Vec::new();
         let mut methods = Vec::new();
         let (updates, tracer) = {
-            let mut st = self.k.st.lock();
+            let mut st = self.k.st.borrow_mut();
             for p in st.procs.iter_mut() {
                 match &p.body {
                     ProcBody::Thread { shared } if p.state != ProcState::Finished => {
-                        threads.push(Arc::clone(shared));
+                        threads.push(Rc::clone(shared));
                     }
                     ProcBody::Thread { .. } => {}
-                    ProcBody::Method { slot, .. } => methods.push(Arc::clone(slot)),
+                    ProcBody::Method { slot, .. } => methods.push(Rc::clone(slot)),
                 }
                 p.finish();
             }
-            self.k.tracing.store(false, Ordering::Relaxed);
             (std::mem::take(&mut st.dq.updates), st.tracer.take())
         };
         for s in threads {
@@ -235,7 +236,7 @@ impl Drop for Simulation {
             let _ = s.resume(Cmd::Terminate);
         }
         for m in methods {
-            let cb = m.cb.lock().take();
+            let cb = m.cb.borrow_mut().take();
             drop(cb);
         }
         drop((updates, tracer));
@@ -246,7 +247,7 @@ impl Drop for Simulation {
 /// primitives (the only way a process may consume simulated time).
 pub struct ProcCtx {
     handle: SimHandle,
-    shared: Arc<CoroShared>,
+    shared: Rc<CoroShared>,
     id: ProcId,
     last_reason: WakeReason,
 }
@@ -283,7 +284,7 @@ impl ProcCtx {
 
     fn suspend(&mut self, spec: WaitSpec) -> WakeReason {
         // Register the wait and chain-dispatch the next runnable under
-        // one kernel-lock round — or get the wait served in place from
+        // one kernel-state borrow — or get the wait served in place from
         // the fast-forward run budget — then take the command of our
         // next turn.
         if let Some(reason) = sched::yield_from_process(&self.handle.k, self.id, spec) {

@@ -4,14 +4,12 @@
 //! ([`crate::runtime`]); method processes are plain callbacks. For the
 //! method fast path, the callback box lives *outside* the kernel state
 //! in a per-process [`MethodSlot`], so the scheduler can pop a method
-//! from the runnable queue in one kernel-lock acquisition and then run
-//! the callback without re-locking the process table (the old design
-//! re-acquired the global lock after every callback just to put the
-//! box back).
+//! from the runnable queue in one kernel-state borrow and then run the
+//! callback with no state borrow held (the callback may call any
+//! `SimHandle` API).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::ids::{EventId, ProcId};
 use crate::runtime::coro::CoroShared;
@@ -32,18 +30,18 @@ pub(crate) enum WaitKind {
 }
 
 /// A boxed method-process callback.
-pub(crate) type MethodCallback = Box<dyn FnMut(&mut MethodCtx) + Send>;
+pub(crate) type MethodCallback = Box<dyn FnMut(&mut MethodCtx)>;
 
-/// The boxed method callback, outside the kernel lock. Empty while the
-/// callback is running and after the process is killed.
+/// The boxed method callback, outside the kernel state. Empty after the
+/// process is killed.
 pub(crate) struct MethodSlot {
-    pub(crate) cb: Mutex<Option<MethodCallback>>,
+    pub(crate) cb: RefCell<Option<MethodCallback>>,
 }
 
 impl MethodSlot {
-    pub(crate) fn new(cb: MethodCallback) -> Arc<Self> {
-        Arc::new(MethodSlot {
-            cb: Mutex::new(Some(cb)),
+    pub(crate) fn new(cb: MethodCallback) -> Rc<Self> {
+        Rc::new(MethodSlot {
+            cb: RefCell::new(Some(cb)),
         })
     }
 }
@@ -53,10 +51,10 @@ pub(crate) enum ProcBody {
         /// The coroutine context on a leased heap stack. There is no
         /// join handle; teardown is the terminate handshake, after
         /// which the stack is recycled.
-        shared: Arc<CoroShared>,
+        shared: Rc<CoroShared>,
     },
     Method {
-        slot: Arc<MethodSlot>,
+        slot: Rc<MethodSlot>,
         queued: bool,
         trigger: Option<EventId>,
     },
@@ -82,7 +80,7 @@ pub(crate) struct ProcEntry {
 }
 
 impl ProcEntry {
-    pub(crate) fn new_thread(name: &str, shared: Arc<CoroShared>) -> Self {
+    pub(crate) fn new_thread(name: &str, shared: Rc<CoroShared>) -> Self {
         ProcEntry {
             name: name.to_string(),
             body: ProcBody::Thread { shared },
@@ -93,7 +91,7 @@ impl ProcEntry {
         }
     }
 
-    pub(crate) fn new_method(name: &str, slot: Arc<MethodSlot>, queued: bool) -> Self {
+    pub(crate) fn new_method(name: &str, slot: Rc<MethodSlot>, queued: bool) -> Self {
         ProcEntry {
             name: name.to_string(),
             body: ProcBody::Method {

@@ -2,13 +2,16 @@
 //! evaluate → update → delta-notify → advance-time, exactly mirroring
 //! the SystemC 2.0 simulation cycle the reproduced paper builds on.
 //!
-//! # Lock discipline
+//! # Borrow discipline
 //!
-//! All kernel state lives behind one mutex ([`Kernel::st`]). The lock
-//! is **never** held while a process body runs: it is released before
-//! control switches into a thread process and before a method callback
-//! is invoked, so process bodies are free to call any
-//! [`super::SimHandle`] API.
+//! All kernel state lives in one `RefCell` ([`Kernel::st`]), owned by
+//! the simulation's single host thread. The state is **never** borrowed
+//! across a context switch or a callback: the borrow ends before
+//! control switches into a thread process, before a method callback or
+//! a signal update is invoked, and before any `Drop` that may call back
+//! in. Process bodies are therefore free to call any
+//! [`super::SimHandle`] API. A violation is a `BorrowMutError` panic at
+//! the offending call, where a lock would have deadlocked silently.
 //!
 //! # Chained dispatch
 //!
@@ -19,8 +22,8 @@
 //!   `run_until`; it runs method callbacks and signal updates, and
 //!   returns the [`RunOutcome`];
 //! * the **yielding process** ([`yield_from_process`]) — after
-//!   registering its own wait it calls [`next_step`] under the kernel
-//!   lock and, when the next runnable is another thread process,
+//!   registering its own wait it calls [`next_step`] in the same state
+//!   borrow and, when the next runnable is another thread process,
 //!   switches *directly* into it. In thread-to-thread steady state
 //!   (exactly the paper's co-simulation shape: T-THREADs exchanging
 //!   the CPU through kernel objects) the root never runs: every
@@ -39,14 +42,15 @@
 //! its own wake deadline — no runnable process, no pending delta
 //! activity or updates, no timed action at or before the deadline, the
 //! deadline within the run limit — does not need the engine at all: it
-//! advances simulated time itself under one lock acquisition
+//! advances simulated time itself in one state borrow
 //! ([`KState::try_fast_forward`]) and keeps running. Consecutive
 //! time-consume slices of one thread (the RTOS layer's quantum loop)
-//! then cost one mutex acquisition each instead of a round trip
-//! through the scheduler.
+//! then cost one borrow each instead of a round trip through the
+//! scheduler.
 
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::ids::{EventId, ProcId};
@@ -283,13 +287,13 @@ impl KState {
     }
 
     // ------------------------------------------------------------------
-    // Notification primitives (callers hold the kernel lock; the batch
-    // API and `notify_many` amortize one lock over several of these).
+    // Notification primitives (callers hold the state borrow; the batch
+    // API and `notify_many` apply several of these in one borrow).
     // ------------------------------------------------------------------
 
     /// Immediate notification: fires now, waking waiters into the
     /// current evaluation phase. Overrides any pending notification.
-    pub(crate) fn notify_now_locked(&mut self, e: EventId) {
+    pub(crate) fn notify_now(&mut self, e: EventId) {
         let ev = &mut self.events[e.index()];
         ev.gen += 1; // invalidate any pending wheel entry
         ev.pending = Pending::None;
@@ -298,7 +302,7 @@ impl KState {
 
     /// Delta notification: fires in the next delta cycle. Overrides a
     /// pending timed notification; keeps an existing delta one.
-    pub(crate) fn notify_delta_locked(&mut self, e: EventId) {
+    pub(crate) fn notify_delta(&mut self, e: EventId) {
         let ev = &mut self.events[e.index()];
         match ev.pending {
             Pending::Delta => {}
@@ -313,9 +317,9 @@ impl KState {
     /// Timed notification after `delay` (`sc_event` override rule: an
     /// earlier pending notification wins; a later one is replaced).
     /// Zero delay degenerates to a delta notification.
-    pub(crate) fn notify_after_locked(&mut self, e: EventId, delay: SimTime) {
+    pub(crate) fn notify_after(&mut self, e: EventId, delay: SimTime) {
         if delay.is_zero() {
-            return self.notify_delta_locked(e);
+            return self.notify_delta(e);
         }
         let at = self.now.saturating_add(delay);
         let ev = &mut self.events[e.index()];
@@ -382,9 +386,9 @@ impl KState {
 /// What the phase loop decided must happen next.
 pub(crate) enum NextStep {
     /// Hand control to this thread process.
-    Thread(ProcId, Arc<CoroShared>, WakeReason),
+    Thread(ProcId, Rc<CoroShared>, WakeReason),
     /// Run this method callback (root context only).
-    Method(ProcId, Arc<MethodSlot>, Option<EventId>),
+    Method(ProcId, Rc<MethodSlot>, Option<EventId>),
     /// The update phase has work (root context only).
     Updates,
     /// Chained dispatch cannot continue; the root context must decide.
@@ -395,8 +399,8 @@ pub(crate) enum NextStep {
 
 /// Dispatch bookkeeping shared by both drivers: the `current` marker,
 /// activation counter and tracer hook.
-fn dispatch_bookkeeping(st: &mut KState, current: &AtomicU32, pid: ProcId) {
-    current.store(pid.index() as u32, Ordering::Relaxed);
+fn dispatch_bookkeeping(st: &mut KState, current: &Cell<u32>, pid: ProcId) {
+    current.set(pid.index() as u32);
     st.stats.process_runs += 1;
     if let Some(t) = &st.tracer {
         let name = st.procs.get(pid).name.clone();
@@ -406,14 +410,14 @@ fn dispatch_bookkeeping(st: &mut KState, current: &AtomicU32, pid: ProcId) {
 
 /// One turn of the phase engine: runs evaluate/update/delta-notify/
 /// advance-time bookkeeping until something must execute (or the run is
-/// over). Caller holds the kernel lock.
+/// over). Caller holds the state borrow.
 ///
 /// With `from_process` the caller is a yielding process chaining the
 /// dispatch: anything only the root context may do (method callbacks,
 /// signal updates, returning an outcome) yields
 /// [`NextStep::WakeKernel`] instead, leaving the state for the root to
 /// re-derive — all such exits are idempotent.
-pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool) -> NextStep {
+pub(crate) fn next_step(st: &mut KState, current: &Cell<u32>, from_process: bool) -> NextStep {
     loop {
         if st.deltas_this_step > st.max_deltas_per_timestep {
             return if from_process {
@@ -426,8 +430,8 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
         // ---- Evaluate phase: pop the next runnable process ------------
         while let Some(pid) = st.dq.runnable.pop_front() {
             enum Picked {
-                Thread(Arc<CoroShared>, WakeReason),
-                Method(Arc<MethodSlot>, Option<EventId>),
+                Thread(Rc<CoroShared>, WakeReason),
+                Method(Rc<MethodSlot>, Option<EventId>),
                 Defer,
                 Skip,
             }
@@ -438,7 +442,7 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
                     (ProcBody::Thread { shared }, ProcState::Ready) => {
                         entry.state = ProcState::Running;
                         let reason = entry.pending_reason;
-                        Picked::Thread(Arc::clone(shared), reason)
+                        Picked::Thread(Rc::clone(shared), reason)
                     }
                     // Methods run on the root context only.
                     (ProcBody::Method { .. }, _) if from_process => Picked::Defer,
@@ -452,7 +456,7 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
                     ) => {
                         *queued = false;
                         let trig = trigger.take();
-                        Picked::Method(Arc::clone(slot), trig)
+                        Picked::Method(Rc::clone(slot), trig)
                     }
                     _ => Picked::Skip,
                 }
@@ -474,7 +478,7 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
             }
         }
 
-        // ---- Update phase (callbacks run outside the lock) ------------
+        // ---- Update phase (callbacks run outside the borrow) ----------
         if !st.dq.updates.is_empty() {
             return if from_process {
                 NextStep::WakeKernel
@@ -557,16 +561,12 @@ pub(crate) fn next_step(st: &mut KState, current: &AtomicU32, from_process: bool
 /// switch straight into the next runnable thread process, or signal
 /// the kernel gate.
 ///
-/// Time-bounded waits first try the fast-forward run budget under the
-/// same (single) lock acquisition: on success the process never
-/// suspends and the served [`WakeReason`] is returned instead.
-pub(crate) fn yield_from_process(
-    k: &Arc<Kernel>,
-    pid: ProcId,
-    spec: WaitSpec,
-) -> Option<WakeReason> {
+/// Time-bounded waits first try the fast-forward run budget in the
+/// same (single) state borrow: on success the process never suspends
+/// and the served [`WakeReason`] is returned instead.
+pub(crate) fn yield_from_process(k: &Kernel, pid: ProcId, spec: WaitSpec) -> Option<WakeReason> {
     let next = {
-        let mut st = k.st.lock();
+        let mut st = k.st.borrow_mut();
         let fast = match &spec {
             WaitSpec::Time(d) if !d.is_zero() => {
                 st.try_fast_forward(*d).then_some(WakeReason::TimeElapsed)
@@ -582,7 +582,7 @@ pub(crate) fn yield_from_process(
         if fast.is_some() {
             return fast;
         }
-        k.current.store(CURRENT_NONE, Ordering::Relaxed);
+        k.current.set(CURRENT_NONE);
         if let Some(t) = &st.tracer {
             t.process_suspended(st.now, pid);
         }
@@ -607,18 +607,17 @@ pub(crate) fn yield_from_process(
 }
 
 /// The finish bookkeeping of a returning process body: marks the
-/// process finished under the kernel lock and decides where control
-/// goes next —
+/// process finished and decides where control goes next —
 /// `Some` names the next thread process to chain to, `None` means the
 /// kernel root must take over (including the panic case, whose payload
 /// is parked in the kernel state for the root to re-raise).
 pub(crate) fn finish_step(
-    k: &Arc<Kernel>,
+    k: &Kernel,
     pid: ProcId,
     reply: Reply,
-) -> Option<(Arc<CoroShared>, WakeReason)> {
-    let mut st = k.st.lock();
-    k.current.store(CURRENT_NONE, Ordering::Relaxed);
+) -> Option<(Rc<CoroShared>, WakeReason)> {
+    let mut st = k.st.borrow_mut();
+    k.current.set(CURRENT_NONE);
     if let Some(t) = &st.tracer {
         t.process_suspended(st.now, pid);
     }
@@ -636,26 +635,26 @@ pub(crate) fn finish_step(
 }
 
 /// The scheduler entry point (used by `Simulation::run_until`).
-pub(crate) fn run_kernel(k: &Arc<Kernel>, limit: SimTime) -> RunOutcome {
+pub(crate) fn run_kernel(k: &Rc<Kernel>, limit: SimTime) -> RunOutcome {
     {
-        let mut st = k.st.lock();
+        let mut st = k.st.borrow_mut();
         assert!(!st.in_run, "Simulation::run_* is not reentrant");
         st.in_run = true;
         st.run_limit = limit;
         st.deltas_this_step = 0;
     }
     let outcome = run_kernel_inner(k);
-    k.st.lock().in_run = false;
+    k.st.borrow_mut().in_run = false;
     match outcome {
         Ok(o) => o,
         Err(payload) => panic::resume_unwind(payload),
     }
 }
 
-fn run_kernel_inner(k: &Arc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any + Send>> {
+fn run_kernel_inner(k: &Rc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any + Send>> {
     loop {
         let step = {
-            let mut st = k.st.lock();
+            let mut st = k.st.borrow_mut();
             if let Some(payload) = st.pending_panic.take() {
                 return Err(payload);
             }
@@ -670,17 +669,16 @@ fn run_kernel_inner(k: &Arc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any
                 k.rt.wait();
             }
             NextStep::Method(pid, slot, trig) => {
-                // Fast path: the kernel lock is NOT held and NOT
-                // re-acquired around the callback; the box stays in
-                // its slot. `slot.cb` is empty if the method was
-                // killed after being queued.
+                // Fast path: no state borrow is held or re-taken around
+                // the callback; the box stays in its slot. `slot.cb` is
+                // empty if the method was killed after being queued.
                 let result = {
-                    let mut cb_guard = slot.cb.lock();
-                    match cb_guard.as_mut() {
+                    let mut cb_slot = slot.cb.borrow_mut();
+                    match cb_slot.as_mut() {
                         None => Ok(()),
                         Some(cb) => {
                             let mut ctx = MethodCtx {
-                                handle: SimHandle { k: Arc::clone(k) },
+                                handle: SimHandle { k: Rc::clone(k) },
                                 id: pid,
                                 triggered_by: trig,
                             };
@@ -688,24 +686,21 @@ fn run_kernel_inner(k: &Arc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any
                         }
                     }
                 };
-                k.current.store(CURRENT_NONE, Ordering::Relaxed);
-                // Slow path only for observability or failure.
-                if k.tracing.load(Ordering::Relaxed) {
-                    let st = k.st.lock();
-                    if let Some(t) = &st.tracer {
-                        t.process_suspended(st.now, pid);
-                    }
+                k.current.set(CURRENT_NONE);
+                let mut st = k.st.borrow_mut();
+                if let Some(t) = &st.tracer {
+                    t.process_suspended(st.now, pid);
                 }
                 if let Err(payload) = result {
-                    k.st.lock().procs.get_mut(pid).finish();
+                    st.procs.get_mut(pid).finish();
                     return Err(payload);
                 }
             }
             NextStep::Updates => {
-                let updates = std::mem::take(&mut k.st.lock().dq.updates);
+                let updates = std::mem::take(&mut k.st.borrow_mut().dq.updates);
                 for u in &updates {
                     if let Some(changed) = u.apply_update() {
-                        let mut st = k.st.lock();
+                        let mut st = k.st.borrow_mut();
                         st.stats.signal_updates += 1;
                         if let Some(t) = &st.tracer {
                             let (name, value) = u.describe();
@@ -714,7 +709,7 @@ fn run_kernel_inner(k: &Arc<Kernel>) -> Result<RunOutcome, Box<dyn std::any::Any
                         // Schedule the value-changed event for the
                         // delta-notify phase (SystemC: signal updates
                         // notify the next delta).
-                        st.notify_delta_locked(changed);
+                        st.notify_delta(changed);
                     }
                 }
             }

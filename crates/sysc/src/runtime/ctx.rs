@@ -21,7 +21,7 @@
 //! # Safety argument
 //!
 //! * The save slot written by the switch lives in a heap allocation
-//!   (`Arc`-pinned) that outlives every switch through it.
+//!   (`Rc`-pinned) that outlives every switch through it.
 //! * Exactly one context per OS thread executes at any instant; the
 //!   switch is only ever called by the single-threaded coroutine
 //!   runtime ([`super::coro`]), which tracks the current context — so
@@ -50,9 +50,7 @@
 
 use std::alloc::{alloc, dealloc, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Stack size of one coroutine (bytes). Thread-process bodies in this
 /// workspace are shallow (RTOS service calls over the sysc wait
@@ -259,7 +257,9 @@ pub struct StackPoolStats {
     pub idle_now: usize,
 }
 
-/// A recycling pool of coroutine stacks.
+/// A recycling pool of coroutine stacks, shared by every simulation of
+/// the process (farm workers run theirs on separate threads, hence the
+/// real lock).
 pub(crate) struct StackPool {
     idle: Mutex<Vec<CoroStack>>,
     allocated: AtomicU64,
@@ -279,11 +279,18 @@ impl StackPool {
         }
     }
 
+    /// The idle list. A panic while it is held cannot leave it
+    /// inconsistent (every critical section is one push or pop), so a
+    /// poisoned lock is recovered.
+    fn idle(&self) -> MutexGuard<'_, Vec<CoroStack>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Leases a stack: recycled when one is parked, freshly allocated
     /// otherwise.
     pub(crate) fn lease(&self) -> CoroStack {
         self.leases.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = self.idle.lock().pop() {
+        if let Some(s) = self.idle().pop() {
             self.recycled.fetch_add(1, Ordering::Relaxed);
             return s;
         }
@@ -299,7 +306,7 @@ impl StackPool {
             stack.canary_intact(),
             "coroutine stack overflow detected (canary smashed on recycle)"
         );
-        let mut idle = self.idle.lock();
+        let mut idle = self.idle();
         if idle.len() < self.max_idle {
             idle.push(stack);
         }
@@ -310,7 +317,7 @@ impl StackPool {
     /// coroutines doesn't pay allocation + first-touch latency.
     /// Idempotent: existing idle stacks count toward `n`.
     pub(crate) fn prewarm(&self, n: usize) {
-        let mut idle = self.idle.lock();
+        let mut idle = self.idle();
         while idle.len() < n.min(self.max_idle) {
             self.allocated.fetch_add(1, Ordering::Relaxed);
             idle.push(CoroStack::new(STACK_SIZE));
@@ -322,7 +329,7 @@ impl StackPool {
             stacks_allocated: self.allocated.load(Ordering::Relaxed),
             leases: self.leases.load(Ordering::Relaxed),
             recycled: self.recycled.load(Ordering::Relaxed),
-            idle_now: self.idle.lock().len(),
+            idle_now: self.idle().len(),
         }
     }
 }
