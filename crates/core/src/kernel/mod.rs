@@ -113,18 +113,21 @@ pub(crate) fn reserve_after_detach(st: &mut KernelState, obj: WaitObj, now: sysc
     }
 }
 
-/// Looks up a slot in an object table (`id` is 1-based).
+/// Looks up a slot in an object table (`id` is 1-based; id 0, like
+/// any unused id, is `E_NOEXS`).
 pub(crate) fn table_get<T>(table: &[Option<T>], raw: u32) -> Result<&T, ErCode> {
-    table
-        .get(raw as usize - 1)
+    (raw as usize)
+        .checked_sub(1)
+        .and_then(|i| table.get(i))
         .and_then(|s| s.as_ref())
         .ok_or(ErCode::NoExs)
 }
 
 /// Mutable variant of [`table_get`].
 pub(crate) fn table_get_mut<T>(table: &mut [Option<T>], raw: u32) -> Result<&mut T, ErCode> {
-    table
-        .get_mut(raw as usize - 1)
+    (raw as usize)
+        .checked_sub(1)
+        .and_then(|i| table.get_mut(i))
         .and_then(|s| s.as_mut())
         .ok_or(ErCode::NoExs)
 }

@@ -450,17 +450,11 @@ impl KernelState {
     }
 
     pub(crate) fn tcb(&self, tid: TaskId) -> Result<&Tcb, ErCode> {
-        self.tasks
-            .get(tid.0 as usize - 1)
-            .and_then(|t| t.as_ref())
-            .ok_or(ErCode::NoExs)
+        crate::kernel::table_get(&self.tasks, tid.0)
     }
 
     pub(crate) fn tcb_mut(&mut self, tid: TaskId) -> Result<&mut Tcb, ErCode> {
-        self.tasks
-            .get_mut(tid.0 as usize - 1)
-            .and_then(|t| t.as_mut())
-            .ok_or(ErCode::NoExs)
+        crate::kernel::table_get_mut(&mut self.tasks, tid.0)
     }
 
     pub(crate) fn thread(&self, who: ThreadRef) -> &TThreadRec {

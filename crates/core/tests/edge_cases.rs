@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rtk_core::{
-    calibrate, ErCode, KernelConfig, MtxPolicy, QueueOrder, ReferenceProfile, Rtos, ServiceClass,
-    TaskState, Timeout,
+    calibrate, ErCode, KernelConfig, MtxPolicy, QueueOrder, ReferenceProfile, Rtos, SemId,
+    ServiceClass, TaskId, TaskState, Timeout,
 };
 use sysc::SimTime;
 
@@ -340,5 +340,33 @@ fn drop_releases_handler_bodies() {
         drops.load(Ordering::SeqCst),
         1,
         "the cyclic handler must be dropped with the kernel"
+    );
+}
+
+/// Object id 0 is never handed out (ids are 1-based), so every lookup
+/// of it must fail with `E_NOEXS` rather than underflow the slot index.
+#[test]
+fn object_id_zero_is_rejected_with_noexs() {
+    let service: Rc<RefCell<Option<(ErCode, ErCode)>>> = Rc::default();
+    let out = service.clone();
+    let mut rtos = Rtos::new(KernelConfig::zero_cost(), move |sys, _| {
+        let sig = sys.tk_sig_sem(SemId::from_raw(0), 1).unwrap_err();
+        let rel = sys.tk_rel_wai(TaskId::from_raw(0)).unwrap_err();
+        *out.borrow_mut() = Some((sig, rel));
+    });
+    rtos.run_for(ms(1));
+    assert_eq!(
+        *service.borrow(),
+        Some((ErCode::NoExs, ErCode::NoExs)),
+        "service calls with id 0"
+    );
+    let ds = rtos.ds();
+    assert_eq!(
+        ds.td_ref_tsk(TaskId::from_raw(0)).unwrap_err(),
+        ErCode::NoExs
+    );
+    assert_eq!(
+        ds.td_ref_sem(SemId::from_raw(0)).unwrap_err(),
+        ErCode::NoExs
     );
 }

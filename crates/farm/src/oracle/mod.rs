@@ -45,6 +45,13 @@
 //! * cyclic/alarm handler fire ticks (armed tick and period
 //!   re-arming).
 //!
+//! Task and object ids are modeled up to 65 536, far above any kernel
+//! table a campaign builds (the kernel hands ids out as dense 1-based
+//! slots). A create event naming a larger id — only an untrusted or
+//! corrupt trace has one — is a divergence that names the id, never an
+//! allocation sized by it; any other event naming such an id refers to
+//! an unknown object, as for any id never created.
+//!
 //! Object deletion with live waiters ([`rtk_core::WakeCode::Deleted`]),
 //! `tk_can_wup`, and custom schedulers remain outside the modeled
 //! subset; streams containing them are rejected rather than validated

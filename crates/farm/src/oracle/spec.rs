@@ -23,6 +23,7 @@
 //!   ([`SpecMutation`]) is caught the moment its state goes wrong.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Index;
 
 use rtk_core::{FlagWaitMode, MtxPolicy, ObsEvent, TaskId, WaitObj, WakeCode};
 
@@ -30,6 +31,102 @@ use crate::scenario::Fnv;
 
 type Tid = u32;
 type Er = Result<(), String>;
+
+/// Largest raw object id the spec models. The kernel hands ids out as
+/// dense 1-based table slots, so a campaign's ids stay in the tens; the
+/// cap only keeps a raw id read from an untrusted trace from sizing an
+/// allocation.
+const MAX_MODELED_ID: u32 = 1 << 16;
+
+/// A dense id-indexed object table: slot `id` holds the object with
+/// raw id `id`. The kernel allocates ids as dense 1-based slots and
+/// reuses freed ones, so this spans the same id space it does.
+/// Iteration is in ascending id order and [`Table::len`] counts live
+/// entries, exactly what an id-keyed ordered map would give.
+#[derive(Debug, Clone)]
+struct Table<T> {
+    slots: Vec<Option<T>>,
+    live: usize,
+}
+
+impl<T> Default for Table<T> {
+    fn default() -> Self {
+        Table {
+            slots: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> Table<T> {
+    /// The entry with `id`; ids never created (or beyond the cap) are
+    /// simply unknown.
+    fn get(&self, id: u32) -> Option<&T> {
+        self.slots.get(id as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: u32) -> Option<&mut T> {
+        self.slots.get_mut(id as usize)?.as_mut()
+    }
+
+    /// Creates (or replaces) the entry with `id`. An id beyond
+    /// [`MAX_MODELED_ID`] is a divergence, never an allocation.
+    fn insert(&mut self, id: u32, value: T) -> Er {
+        if id > MAX_MODELED_ID {
+            return Err(format!(
+                "object id {id} is beyond the spec's modeled id cap {MAX_MODELED_ID}"
+            ));
+        }
+        let i = id as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        if self.slots[i].replace(value).is_none() {
+            self.live += 1;
+        }
+        Ok(())
+    }
+
+    /// The entry with `id`, created with the default value if absent.
+    fn get_or_default(&mut self, id: u32) -> Result<&mut T, String>
+    where
+        T: Default,
+    {
+        if self.get(id).is_none() {
+            self.insert(id, T::default())?;
+        }
+        Ok(self.get_mut(id).expect("present or just inserted"))
+    }
+
+    fn remove(&mut self, id: u32) {
+        if let Some(slot) = self.slots.get_mut(id as usize) {
+            if slot.take().is_some() {
+                self.live -= 1;
+            }
+        }
+    }
+
+    /// Number of live entries (not slots).
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Live entries in ascending id order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(id, slot)| Some((id as u32, slot.as_ref()?)))
+    }
+}
+
+impl<T> Index<u32> for Table<T> {
+    type Output = T;
+
+    fn index(&self, id: u32) -> &T {
+        self.get(id).expect("id is modeled")
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TState {
@@ -254,7 +351,7 @@ struct AlmM {
 /// choices ([`SpecState::step`], what `rtk-farm --explore` does).
 #[derive(Debug, Clone, Default)]
 pub struct SpecState {
-    tasks: BTreeMap<Tid, TaskM>,
+    tasks: Table<TaskM>,
     /// Ready queue in dispatch order (priority levels, FIFO within,
     /// preempted tasks re-enter at the head of their level).
     ready: Vec<(Tid, u8)>,
@@ -262,15 +359,15 @@ pub struct SpecState {
     /// `tk_dis_dsp`/`tk_loc_cpu` window: no dispatch, preemption or
     /// blocking may be observed while set.
     dispatch_disabled: bool,
-    sems: BTreeMap<u32, SemM>,
-    flags: BTreeMap<u32, FlagM>,
-    mbxs: BTreeMap<u32, MbxM>,
-    mbfs: BTreeMap<u32, MbfM>,
-    mtxs: BTreeMap<u32, MtxM>,
-    mpfs: BTreeMap<u32, MpfM>,
-    mpls: BTreeMap<u32, MplM>,
-    cycs: BTreeMap<u32, CycM>,
-    alms: BTreeMap<u32, AlmM>,
+    sems: Table<SemM>,
+    flags: Table<FlagM>,
+    mbxs: Table<MbxM>,
+    mbfs: Table<MbfM>,
+    mtxs: Table<MtxM>,
+    mpfs: Table<MpfM>,
+    mpls: Table<MplM>,
+    cycs: Table<CycM>,
+    alms: Table<AlmM>,
     /// Wakeups the spec has mandated but the kernel has not yet
     /// reported. Non-empty ⇒ the very next event must be the front
     /// wakeup (wakeups are emitted contiguously after their stimulus).
@@ -279,6 +376,9 @@ pub struct SpecState {
     /// proofs; `None` (the default) is the faithful spec, so `Checker`
     /// replay is byte-identical to the pre-split oracle.
     mutation: Option<SpecMutation>,
+    /// Scratch buffer of the priority fixpoint, indexed by raw tid and
+    /// reused across events. Not state: `canon_digest` ignores it.
+    prio: Vec<u8>,
 }
 
 fn flag_satisfied(pattern: u32, waiptn: u32, mode: FlagWaitMode) -> bool {
@@ -300,13 +400,13 @@ fn flag_clear(pattern: &mut u32, waiptn: u32, mode: FlagWaitMode) {
 impl SpecState {
     fn task(&self, tid: Tid) -> Result<&TaskM, String> {
         self.tasks
-            .get(&tid)
+            .get(tid)
             .ok_or_else(|| format!("unknown tsk{tid}"))
     }
 
     fn task_mut(&mut self, tid: Tid) -> Result<&mut TaskM, String> {
         self.tasks
-            .get_mut(&tid)
+            .get_mut(tid)
             .ok_or_else(|| format!("unknown tsk{tid}"))
     }
 
@@ -327,7 +427,7 @@ impl SpecState {
     // ------------------------------------------------------------------
 
     fn ready_tail(&mut self, tid: Tid) {
-        let pri = self.tasks[&tid].cur;
+        let pri = self.tasks[tid].cur;
         let pos = self
             .ready
             .iter()
@@ -337,7 +437,7 @@ impl SpecState {
     }
 
     fn ready_head(&mut self, tid: Tid) {
-        let pri = self.tasks[&tid].cur;
+        let pri = self.tasks[tid].cur;
         let pos = self
             .ready
             .iter()
@@ -353,16 +453,14 @@ impl SpecState {
     /// Rotates the ready entries of one priority level: the level's
     /// head moves behind its last peer (`tk_rot_rdq`).
     fn rotate_ready(&mut self, pri: u8) {
-        let idxs: Vec<usize> = self
-            .ready
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(_, p))| p == pri)
-            .map(|(i, _)| i)
-            .collect();
-        if idxs.len() >= 2 {
-            let head = self.ready.remove(idxs[0]);
-            self.ready.insert(*idxs.last().expect("len >= 2"), head);
+        // The ready queue is sorted by priority, so the level is one
+        // contiguous run.
+        let level = |&(_, p): &(Tid, u8)| p == pri;
+        if let (Some(first), Some(last)) = (
+            self.ready.iter().position(level),
+            self.ready.iter().rposition(level),
+        ) {
+            self.ready[first..=last].rotate_left(1);
         }
     }
 
@@ -393,9 +491,9 @@ impl SpecState {
     /// (plus the mbf sender-payload bookkeeping), without completing
     /// the wait. Returns the object, for the re-serve pass.
     fn detach(&mut self, tid: Tid) -> Option<WaitObj> {
-        let obj = self.tasks.get(&tid)?.wait?;
+        let obj = self.tasks.get(tid)?.wait?;
         if let WaitObj::MbfSend(id, _) = obj {
-            if let Some(m) = self.mbfs.get_mut(&id.raw()) {
+            if let Some(m) = self.mbfs.get_mut(id.raw()) {
                 m.send_len.remove(&tid);
             }
         }
@@ -420,12 +518,12 @@ impl SpecState {
 
     /// Wakes satisfiable semaphore waiters strictly from the head.
     fn sem_serve(&mut self, id: u32) -> Er {
-        while let Some(front) = self.sems.get(&id).and_then(|s| s.q.front()) {
-            let req = match self.tasks.get(&front).and_then(|t| t.wait) {
+        while let Some(front) = self.sems.get(id).and_then(|s| s.q.front()) {
+            let req = match self.tasks.get(front).and_then(|t| t.wait) {
                 Some(WaitObj::Sem(_, req)) => req,
                 _ => 1,
             };
-            let sem = self.sems.get_mut(&id).expect("checked");
+            let sem = self.sems.get_mut(id).expect("checked");
             if sem.count < req {
                 break;
             }
@@ -440,7 +538,7 @@ impl SpecState {
     /// allows, strictly in queue order, waking them.
     fn mbf_drain(&mut self, id: u32) -> Er {
         loop {
-            let Some(mbf) = self.mbfs.get_mut(&id) else {
+            let Some(mbf) = self.mbfs.get_mut(id) else {
                 return Ok(());
             };
             let Some(front) = mbf.send_q.front() else {
@@ -462,14 +560,14 @@ impl SpecState {
     /// queue order, allocating in the shadow arena.
     fn mpl_serve(&mut self, id: u32) -> Er {
         loop {
-            let Some(front) = self.mpls.get(&id).and_then(|p| p.q.front()) else {
+            let Some(front) = self.mpls.get(id).and_then(|p| p.q.front()) else {
                 return Ok(());
             };
-            let req = match self.tasks.get(&front).and_then(|t| t.wait) {
+            let req = match self.tasks.get(front).and_then(|t| t.wait) {
                 Some(WaitObj::Mpl(_, sz)) => sz,
                 _ => return Ok(()),
             };
-            let pool = self.mpls.get_mut(&id).expect("checked");
+            let pool = self.mpls.get_mut(id).expect("checked");
             if pool.try_alloc(req).is_none() {
                 return Ok(());
             }
@@ -482,20 +580,61 @@ impl SpecState {
     // Priorities: ceiling + transitive inheritance, by fixpoint
     // ------------------------------------------------------------------
 
-    /// Recomputes every task's current priority from first principles:
-    /// start at the base priority and relax downward (more urgent)
-    /// through held ceiling mutexes and the current priorities of
-    /// tasks waiting on held inheritance mutexes, until stable. Tasks
-    /// whose priority changed are re-sorted in their wait queue (and
-    /// the ready queue), mirroring the kernel's reprioritisation rule.
+    /// Recomputes every task's current priority from first principles
+    /// ([`SpecState::priority_fixpoint`], under the configured rule)
+    /// and applies the changes in ascending tid order: a changed task
+    /// is re-sorted in the ready queue or its wait queue, mirroring the
+    /// kernel's reprioritisation rule.
     fn recompute_priorities(&mut self) {
-        let tids: Vec<Tid> = self.tasks.keys().copied().collect();
-        let mut cur: BTreeMap<Tid, u8> = tids.iter().map(|&t| (t, self.tasks[&t].base)).collect();
+        let mut cur = std::mem::take(&mut self.prio);
+        let transitive = self.mutation != Some(SpecMutation::DirectInheritanceOnly);
+        self.priority_fixpoint(transitive, &mut cur);
+        for (tid, &new) in cur.iter().enumerate() {
+            let tid = tid as Tid;
+            let Some(t) = self.tasks.get_mut(tid) else {
+                continue;
+            };
+            if t.cur == new {
+                continue;
+            }
+            t.cur = new;
+            match (t.state, t.wait) {
+                (TState::Ready, _) => {
+                    self.ready_remove(tid);
+                    self.ready_tail(tid);
+                }
+                (TState::Waiting | TState::WaitSuspend, Some(obj)) => {
+                    if let Some(q) = self.wait_queue_mut(&obj) {
+                        q.reprioritize(tid, new);
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.prio = cur;
+    }
+
+    /// The ceiling + transitive-inheritance priority fixpoint, computed
+    /// into `cur` (indexed by raw tid; vacant slots hold `u8::MAX`)
+    /// without touching the state: every task starts at its base
+    /// priority and relaxes downward (more urgent) through held ceiling
+    /// mutexes and the current priorities of tasks waiting on held
+    /// inheritance mutexes, until stable. With `transitive` off (the
+    /// [`SpecMutation::DirectInheritanceOnly`] rule) a waiter lends
+    /// only its *base* priority.
+    fn priority_fixpoint(&self, transitive: bool, cur: &mut Vec<u8>) {
+        cur.clear();
+        cur.extend(
+            self.tasks
+                .slots
+                .iter()
+                .map(|t| t.as_ref().map_or(u8::MAX, |t| t.base)),
+        );
         loop {
             let mut changed = false;
-            for &tid in &tids {
-                let mut p = self.tasks[&tid].base;
-                for mid in &self.tasks[&tid].held {
+            for (tid, t) in self.tasks.iter() {
+                let mut p = t.base;
+                for &mid in &t.held {
                     let Some(m) = self.mtxs.get(mid) else {
                         continue;
                     };
@@ -503,50 +642,24 @@ impl SpecState {
                         MtxPolicy::Ceiling(c) => p = p.min(c),
                         MtxPolicy::Inherit => {
                             for w in m.q.iter_tids() {
-                                // A mutated spec (DirectInheritanceOnly)
-                                // inherits only the waiters' *base*
-                                // priorities — no transitive boost.
-                                let wp =
-                                    if self.mutation == Some(SpecMutation::DirectInheritanceOnly) {
-                                        self.tasks[&w].base
-                                    } else {
-                                        cur[&w]
-                                    };
-                                p = p.min(wp);
+                                let wp = if transitive {
+                                    cur.get(w as usize).copied()
+                                } else {
+                                    self.tasks.get(w).map(|t| t.base)
+                                };
+                                p = p.min(wp.unwrap_or(u8::MAX));
                             }
                         }
                         _ => {}
                     }
                 }
-                if cur[&tid] != p {
-                    cur.insert(tid, p);
+                if cur[tid as usize] != p {
+                    cur[tid as usize] = p;
                     changed = true;
                 }
             }
             if !changed {
-                break;
-            }
-        }
-        for &tid in &tids {
-            let new = cur[&tid];
-            let old = self.tasks[&tid].cur;
-            if new == old {
-                continue;
-            }
-            self.tasks.get_mut(&tid).expect("listed").cur = new;
-            match self.tasks[&tid].state {
-                TState::Ready => {
-                    self.ready_remove(tid);
-                    self.ready_tail(tid);
-                }
-                TState::Waiting | TState::WaitSuspend => {
-                    if let Some(obj) = self.tasks[&tid].wait {
-                        if let Some(q) = self.wait_queue_mut(&obj) {
-                            q.reprioritize(tid, new);
-                        }
-                    }
-                }
-                _ => {}
+                return;
             }
         }
     }
@@ -554,14 +667,14 @@ impl SpecState {
     /// The wait queue a blocked task sits in, if the object is modeled.
     fn wait_queue_mut(&mut self, obj: &WaitObj) -> Option<&mut Queue> {
         match obj {
-            WaitObj::Sem(id, _) => self.sems.get_mut(&id.raw()).map(|o| &mut o.q),
-            WaitObj::Flag(id, _, _) => self.flags.get_mut(&id.raw()).map(|o| &mut o.q),
-            WaitObj::Mbx(id) => self.mbxs.get_mut(&id.raw()).map(|o| &mut o.q),
-            WaitObj::MbfSend(id, _) => self.mbfs.get_mut(&id.raw()).map(|o| &mut o.send_q),
-            WaitObj::MbfRecv(id) => self.mbfs.get_mut(&id.raw()).map(|o| &mut o.recv_q),
-            WaitObj::Mtx(id) => self.mtxs.get_mut(&id.raw()).map(|o| &mut o.q),
-            WaitObj::Mpf(id) => self.mpfs.get_mut(&id.raw()).map(|o| &mut o.q),
-            WaitObj::Mpl(id, _) => self.mpls.get_mut(&id.raw()).map(|o| &mut o.q),
+            WaitObj::Sem(id, _) => self.sems.get_mut(id.raw()).map(|o| &mut o.q),
+            WaitObj::Flag(id, _, _) => self.flags.get_mut(id.raw()).map(|o| &mut o.q),
+            WaitObj::Mbx(id) => self.mbxs.get_mut(id.raw()).map(|o| &mut o.q),
+            WaitObj::MbfSend(id, _) => self.mbfs.get_mut(id.raw()).map(|o| &mut o.send_q),
+            WaitObj::MbfRecv(id) => self.mbfs.get_mut(id.raw()).map(|o| &mut o.recv_q),
+            WaitObj::Mtx(id) => self.mtxs.get_mut(id.raw()).map(|o| &mut o.q),
+            WaitObj::Mpf(id) => self.mpfs.get_mut(id.raw()).map(|o| &mut o.q),
+            WaitObj::Mpl(id, _) => self.mpls.get_mut(id.raw()).map(|o| &mut o.q),
             WaitObj::Sleep | WaitObj::Delay => None,
         }
     }
@@ -594,22 +707,19 @@ impl SpecState {
         }
 
         match *ev {
-            ObsEvent::TaskCreate { tid, pri } => {
-                self.tasks.insert(
-                    tid.raw(),
-                    TaskM {
-                        base: pri,
-                        cur: pri,
-                        state: TState::Dormant,
-                        wait: None,
-                        deadline: None,
-                        held: Vec::new(),
-                        suscnt: 0,
-                        wupcnt: 0,
-                    },
-                );
-                Ok(())
-            }
+            ObsEvent::TaskCreate { tid, pri } => self.tasks.insert(
+                tid.raw(),
+                TaskM {
+                    base: pri,
+                    cur: pri,
+                    state: TState::Dormant,
+                    wait: None,
+                    deadline: None,
+                    held: Vec::new(),
+                    suscnt: 0,
+                    wupcnt: 0,
+                },
+            ),
             ObsEvent::TaskStart { tid } => {
                 let t = self.task_mut(tid.raw())?;
                 if t.state != TState::Dormant {
@@ -678,7 +788,7 @@ impl SpecState {
                 if self.task(tid)?.state != TState::Dormant {
                     return Err("delete of a task the spec says is not DORMANT".into());
                 }
-                self.tasks.remove(&tid);
+                self.tasks.remove(tid);
                 Ok(())
             }
             ObsEvent::Suspend { tid } => {
@@ -839,7 +949,7 @@ impl SpecState {
                 }
                 let pri = self.task(tid)?.cur;
                 if let WaitObj::MbfSend(id, len) = obj {
-                    if let Some(m) = self.mbfs.get_mut(&id.raw()) {
+                    if let Some(m) = self.mbfs.get_mut(id.raw()) {
                         m.send_len.insert(tid, len);
                     }
                 }
@@ -895,22 +1005,19 @@ impl SpecState {
                 init,
                 max,
                 pri_order,
-            } => {
-                self.sems.insert(
-                    id.raw(),
-                    SemM {
-                        count: init,
-                        max,
-                        q: Queue::new(pri_order),
-                    },
-                );
-                Ok(())
-            }
+            } => self.sems.insert(
+                id.raw(),
+                SemM {
+                    count: init,
+                    max,
+                    q: Queue::new(pri_order),
+                },
+            ),
             ObsEvent::SemSignal { id, cnt } => {
                 let id = id.raw();
                 let sem = self
                     .sems
-                    .get_mut(&id)
+                    .get_mut(id)
                     .ok_or_else(|| format!("unknown sem{id}"))?;
                 if sem.count.checked_add(cnt).is_none_or(|v| v > sem.max) {
                     return Err(format!(
@@ -925,7 +1032,7 @@ impl SpecState {
                 self.require_running(tid.raw())?;
                 let sem = self
                     .sems
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 if !sem.q.is_empty() {
                     return Err("immediate acquisition barged past waiting tasks".into());
@@ -944,44 +1051,50 @@ impl SpecState {
                 id,
                 init,
                 pri_order,
-            } => {
-                self.flags.insert(
-                    id.raw(),
-                    FlagM {
-                        pattern: init,
-                        q: Queue::new(pri_order),
-                    },
-                );
-                Ok(())
-            }
+            } => self.flags.insert(
+                id.raw(),
+                FlagM {
+                    pattern: init,
+                    q: Queue::new(pri_order),
+                },
+            ),
             ObsEvent::FlagSet { id, ptn } => {
                 let id = id.raw();
                 let flag = self
                     .flags
-                    .get_mut(&id)
+                    .get_mut(id)
                     .ok_or_else(|| format!("unknown flg{id}"))?;
                 flag.pattern |= ptn;
                 // Walk the queue in order, re-checking after each
-                // release (clears can unsatisfy later waiters).
-                let snapshot: Vec<Tid> = flag.q.iter_tids().collect();
-                for tid in snapshot {
-                    let (waiptn, mode) = match self.tasks.get(&tid).and_then(|t| t.wait) {
-                        Some(WaitObj::Flag(_, p, m)) => (p, m),
-                        _ => continue,
+                // release (clears can unsatisfy later waiters). Waking
+                // never touches this queue, so an index walks it.
+                let mut i = 0;
+                loop {
+                    let flag = self.flags.get_mut(id).expect("checked");
+                    let Some(&(tid, _)) = flag.q.entries.get(i) else {
+                        return Ok(());
                     };
-                    let flag = self.flags.get_mut(&id).expect("checked");
-                    if flag_satisfied(flag.pattern, waiptn, mode) {
-                        flag_clear(&mut flag.pattern, waiptn, mode);
-                        flag.q.remove(tid);
+                    let satisfied = match self.tasks.get(tid).and_then(|t| t.wait) {
+                        Some(WaitObj::Flag(_, waiptn, mode))
+                            if flag_satisfied(flag.pattern, waiptn, mode) =>
+                        {
+                            flag_clear(&mut flag.pattern, waiptn, mode);
+                            true
+                        }
+                        _ => false,
+                    };
+                    if satisfied {
+                        flag.q.entries.remove(i);
                         self.wake(tid, WakeCode::Ok)?;
+                    } else {
+                        i += 1;
                     }
                 }
-                Ok(())
             }
             ObsEvent::FlagClear { id, mask } => {
                 let flag = self
                     .flags
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 flag.pattern &= mask;
                 Ok(())
@@ -990,7 +1103,7 @@ impl SpecState {
                 self.require_running(tid.raw())?;
                 let flag = self
                     .flags
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 if !flag_satisfied(flag.pattern, ptn, mode) {
                     return Err(format!(
@@ -1002,20 +1115,17 @@ impl SpecState {
                 Ok(())
             }
 
-            ObsEvent::MbxCreate { id, pri_order } => {
-                self.mbxs.insert(
-                    id.raw(),
-                    MbxM {
-                        msgs: 0,
-                        q: Queue::new(pri_order),
-                    },
-                );
-                Ok(())
-            }
+            ObsEvent::MbxCreate { id, pri_order } => self.mbxs.insert(
+                id.raw(),
+                MbxM {
+                    msgs: 0,
+                    q: Queue::new(pri_order),
+                },
+            ),
             ObsEvent::MbxSend { id } => {
                 let mbx = self
                     .mbxs
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 if let Some(receiver) = mbx.q.pop() {
                     self.wake(receiver, WakeCode::Ok)?;
@@ -1028,7 +1138,7 @@ impl SpecState {
                 self.require_running(tid.raw())?;
                 let mbx = self
                     .mbxs
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 if mbx.msgs == 0 {
                     return Err("immediate receive from a mailbox the spec says is empty".into());
@@ -1042,24 +1152,21 @@ impl SpecState {
                 bufsz,
                 pri_order,
                 ..
-            } => {
-                self.mbfs.insert(
-                    id.raw(),
-                    MbfM {
-                        bufsz,
-                        used: 0,
-                        msgs: VecDeque::new(),
-                        send_q: Queue::new(pri_order),
-                        send_len: BTreeMap::new(),
-                        recv_q: Queue::new(pri_order),
-                    },
-                );
-                Ok(())
-            }
+            } => self.mbfs.insert(
+                id.raw(),
+                MbfM {
+                    bufsz,
+                    used: 0,
+                    msgs: VecDeque::new(),
+                    send_q: Queue::new(pri_order),
+                    send_len: BTreeMap::new(),
+                    recv_q: Queue::new(pri_order),
+                },
+            ),
             ObsEvent::MbfSend { id, len } => {
                 let mbf = self
                     .mbfs
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 let direct = mbf.msgs.is_empty() && mbf.send_q.is_empty();
                 if direct {
@@ -1080,7 +1187,7 @@ impl SpecState {
                 self.require_running(tid.raw())?;
                 let mbf = self
                     .mbfs
-                    .get_mut(&id)
+                    .get_mut(id)
                     .ok_or_else(|| format!("unknown mbf{id}"))?;
                 if let Some(len) = mbf.msgs.pop_front() {
                     mbf.used -= len;
@@ -1095,23 +1202,20 @@ impl SpecState {
                 }
             }
 
-            ObsEvent::MtxCreate { id, policy } => {
-                self.mtxs.insert(
-                    id.raw(),
-                    MtxM {
-                        policy,
-                        owner: None,
-                        q: Queue::new(!matches!(policy, MtxPolicy::Fifo)),
-                    },
-                );
-                Ok(())
-            }
+            ObsEvent::MtxCreate { id, policy } => self.mtxs.insert(
+                id.raw(),
+                MtxM {
+                    policy,
+                    owner: None,
+                    q: Queue::new(!matches!(policy, MtxPolicy::Fifo)),
+                },
+            ),
             ObsEvent::MtxLock { id, tid } => {
                 let tid = tid.raw();
                 self.require_running(tid)?;
                 let mtx = self
                     .mtxs
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 if let Some(owner) = mtx.owner {
                     return Err(format!(
@@ -1129,7 +1233,7 @@ impl SpecState {
                 let id = id.raw();
                 let owner = self
                     .mtxs
-                    .get(&id)
+                    .get(id)
                     .ok_or_else(|| format!("unknown mtx{id}"))?
                     .owner;
                 if owner != Some(tid) {
@@ -1147,22 +1251,19 @@ impl SpecState {
                 id,
                 blocks,
                 pri_order,
-            } => {
-                self.mpfs.insert(
-                    id.raw(),
-                    MpfM {
-                        total: blocks,
-                        free: blocks,
-                        q: Queue::new(pri_order),
-                    },
-                );
-                Ok(())
-            }
+            } => self.mpfs.insert(
+                id.raw(),
+                MpfM {
+                    total: blocks,
+                    free: blocks,
+                    q: Queue::new(pri_order),
+                },
+            ),
             ObsEvent::MpfTake { id, tid } => {
                 self.require_running(tid.raw())?;
                 let pool = self
                     .mpfs
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 if !pool.q.is_empty() {
                     return Err("immediate block acquisition barged past waiting tasks".into());
@@ -1176,7 +1277,7 @@ impl SpecState {
             ObsEvent::MpfRel { id } => {
                 let pool = self
                     .mpfs
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 if let Some(waiter) = pool.q.pop() {
                     // Direct handoff: the block never returns to the
@@ -1205,14 +1306,13 @@ impl SpecState {
                         allocs: BTreeMap::new(),
                         q: Queue::new(pri_order),
                     },
-                );
-                Ok(())
+                )
             }
             ObsEvent::MplTake { id, tid, size, off } => {
                 self.require_running(tid.raw())?;
                 let pool = self
                     .mpls
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 if !pool.q.is_empty() {
                     return Err("immediate allocation barged past waiting tasks".into());
@@ -1231,7 +1331,7 @@ impl SpecState {
                 let id = id.raw();
                 let pool = self
                     .mpls
-                    .get_mut(&id)
+                    .get_mut(id)
                     .ok_or_else(|| format!("unknown mpl{id}"))?;
                 pool.release(off)?;
                 self.mpl_serve(id)
@@ -1241,20 +1341,17 @@ impl SpecState {
                 id,
                 period_ticks,
                 first_tick,
-            } => {
-                self.cycs.insert(
-                    id.raw(),
-                    CycM {
-                        period: period_ticks,
-                        armed: first_tick,
-                    },
-                );
-                Ok(())
-            }
+            } => self.cycs.insert(
+                id.raw(),
+                CycM {
+                    period: period_ticks,
+                    armed: first_tick,
+                },
+            ),
             ObsEvent::CycStart { id, at_tick } => {
                 let cyc = self
                     .cycs
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 cyc.armed = Some(at_tick);
                 Ok(())
@@ -1262,7 +1359,7 @@ impl SpecState {
             ObsEvent::CycStop { id } => {
                 let cyc = self
                     .cycs
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 cyc.armed = None;
                 Ok(())
@@ -1270,7 +1367,7 @@ impl SpecState {
             ObsEvent::CycFire { id, tick } => {
                 let cyc = self
                     .cycs
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 match cyc.armed {
                     Some(at) if at == tick => {
@@ -1285,17 +1382,17 @@ impl SpecState {
                 }
             }
             ObsEvent::AlmArm { id, at_tick } => {
-                self.alms.entry(id.raw()).or_default().armed = Some(at_tick);
+                self.alms.get_or_default(id.raw())?.armed = Some(at_tick);
                 Ok(())
             }
             ObsEvent::AlmStop { id } => {
-                self.alms.entry(id.raw()).or_default().armed = None;
+                self.alms.get_or_default(id.raw())?.armed = None;
                 Ok(())
             }
             ObsEvent::AlmFire { id, tick } => {
                 let alm = self
                     .alms
-                    .get_mut(&id.raw())
+                    .get_mut(id.raw())
                     .ok_or_else(|| format!("unknown {id}"))?;
                 match alm.armed.take() {
                     Some(at) if at == tick => Ok(()),
@@ -1314,7 +1411,7 @@ impl SpecState {
     fn release_mutex(&mut self, id: u32) -> Er {
         let mtx = self
             .mtxs
-            .get_mut(&id)
+            .get_mut(id)
             .ok_or_else(|| format!("unknown mtx{id}"))?;
         match mtx.q.pop() {
             Some(next) => {
@@ -1334,33 +1431,33 @@ impl SpecState {
             WaitObj::Sleep | WaitObj::Delay => true,
             WaitObj::Sem(id, cnt) => self
                 .sems
-                .get(&id.raw())
+                .get(id.raw())
                 .is_none_or(|s| !(s.q.is_empty() && s.count >= cnt)),
             WaitObj::Flag(id, ptn, mode) => self
                 .flags
-                .get(&id.raw())
+                .get(id.raw())
                 .is_none_or(|f| !flag_satisfied(f.pattern, ptn, mode)),
-            WaitObj::Mbx(id) => self.mbxs.get(&id.raw()).is_none_or(|m| m.msgs == 0),
-            WaitObj::MbfSend(id, len) => self.mbfs.get(&id.raw()).is_none_or(|m| {
+            WaitObj::Mbx(id) => self.mbxs.get(id.raw()).is_none_or(|m| m.msgs == 0),
+            WaitObj::MbfSend(id, len) => self.mbfs.get(id.raw()).is_none_or(|m| {
                 let direct = m.msgs.is_empty() && m.send_q.is_empty() && !m.recv_q.is_empty();
                 let fits = m.send_q.is_empty() && m.used + len <= m.bufsz;
                 !(direct || fits)
             }),
             WaitObj::MbfRecv(id) => self
                 .mbfs
-                .get(&id.raw())
+                .get(id.raw())
                 .is_none_or(|m| m.msgs.is_empty() && m.send_q.is_empty()),
             WaitObj::Mtx(id) => self
                 .mtxs
-                .get(&id.raw())
+                .get(id.raw())
                 .is_none_or(|m| m.owner.is_some() && m.owner != Some(tid)),
             WaitObj::Mpf(id) => self
                 .mpfs
-                .get(&id.raw())
+                .get(id.raw())
                 .is_none_or(|p| !(p.q.is_empty() && p.free > 0)),
             WaitObj::Mpl(id, sz) => self
                 .mpls
-                .get(&id.raw())
+                .get(id.raw())
                 .is_none_or(|p| !(p.q.is_empty() && p.can_alloc(sz))),
         };
         if blocks {
@@ -1547,7 +1644,7 @@ impl SpecState {
     /// The spec-computed current priority of a task (base relaxed
     /// through ceilings and transitive inheritance).
     pub fn current_priority(&self, tid: u32) -> Option<u8> {
-        self.tasks.get(&tid).map(|t| t.cur)
+        self.tasks.get(tid).map(|t| t.cur)
     }
 
     /// `true` while a `tk_dis_dsp`/`tk_loc_cpu` window is open.
@@ -1558,7 +1655,7 @@ impl SpecState {
     /// `true` when the task is blocked (WAITING or WAITING-SUSPENDED).
     pub fn is_waiting(&self, tid: u32) -> bool {
         self.tasks
-            .get(&tid)
+            .get(tid)
             .is_some_and(|t| matches!(t.state, TState::Waiting | TState::WaitSuspend))
     }
 
@@ -1567,18 +1664,18 @@ impl SpecState {
         self.tasks
             .iter()
             .filter(|(_, t)| matches!(t.state, TState::Waiting | TState::WaitSuspend))
-            .map(|(&tid, _)| tid)
+            .map(|(tid, _)| tid)
             .collect()
     }
 
     /// The armed absolute-tick deadline of a task's wait, if any.
     pub fn deadline(&self, tid: u32) -> Option<u64> {
-        self.tasks.get(&tid).and_then(|t| t.deadline)
+        self.tasks.get(tid).and_then(|t| t.deadline)
     }
 
     /// The next mandated activation tick of a cyclic handler.
     pub fn cyc_next_fire(&self, id: u32) -> Option<u64> {
-        self.cycs.get(&id).and_then(|c| c.armed)
+        self.cycs.get(id).and_then(|c| c.armed)
     }
 
     /// `true` when the spec says a wait on `obj` by `tid` blocks (the
@@ -1614,13 +1711,13 @@ impl SpecState {
                     if let Some(&(tid, _)) = self.ready.first() {
                         return vec![Choice::Dispatch {
                             tid,
-                            pri: self.tasks[&tid].cur,
+                            pri: self.tasks[tid].cur,
                         }];
                     }
                 }
                 Some(r) => {
                     if let Some(&(_, hp)) = self.ready.first() {
-                        if hp < self.tasks[&r].cur {
+                        if hp < self.tasks[r].cur {
                             return vec![Choice::Preempt { tid: r }];
                         }
                     }
@@ -1631,7 +1728,7 @@ impl SpecState {
             .tasks
             .iter()
             .filter(|(_, t)| matches!(t.state, TState::Waiting | TState::WaitSuspend))
-            .filter_map(|(&tid, t)| t.deadline.map(|tick| (tick, tid)))
+            .filter_map(|(tid, t)| t.deadline.map(|tick| (tick, tid)))
             .collect();
         outs.sort_unstable();
         outs.into_iter()
@@ -1687,7 +1784,7 @@ impl SpecState {
     pub fn canon_digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.u64(self.tasks.len() as u64);
-        for (&tid, t) in &self.tasks {
+        for (tid, t) in self.tasks.iter() {
             h.u64(u64::from(tid));
             h.u64(u64::from(t.base));
             h.u64(u64::from(t.cur));
@@ -1715,26 +1812,26 @@ impl SpecState {
         h_opt(&mut h, self.running.map(u64::from));
         h.u64(u64::from(self.dispatch_disabled));
         h.u64(self.sems.len() as u64);
-        for (&id, s) in &self.sems {
+        for (id, s) in self.sems.iter() {
             h.u64(u64::from(id));
             h.u64(u64::from(s.count));
             h.u64(u64::from(s.max));
             h_queue(&mut h, &s.q);
         }
         h.u64(self.flags.len() as u64);
-        for (&id, f) in &self.flags {
+        for (id, f) in self.flags.iter() {
             h.u64(u64::from(id));
             h.u64(u64::from(f.pattern));
             h_queue(&mut h, &f.q);
         }
         h.u64(self.mbxs.len() as u64);
-        for (&id, m) in &self.mbxs {
+        for (id, m) in self.mbxs.iter() {
             h.u64(u64::from(id));
             h.u64(m.msgs as u64);
             h_queue(&mut h, &m.q);
         }
         h.u64(self.mbfs.len() as u64);
-        for (&id, m) in &self.mbfs {
+        for (id, m) in self.mbfs.iter() {
             h.u64(u64::from(id));
             h.u64(m.bufsz as u64);
             h.u64(m.used as u64);
@@ -1751,7 +1848,7 @@ impl SpecState {
             h_queue(&mut h, &m.recv_q);
         }
         h.u64(self.mtxs.len() as u64);
-        for (&id, m) in &self.mtxs {
+        for (id, m) in self.mtxs.iter() {
             h.u64(u64::from(id));
             match m.policy {
                 MtxPolicy::Fifo => h.u64(1),
@@ -1766,14 +1863,14 @@ impl SpecState {
             h_queue(&mut h, &m.q);
         }
         h.u64(self.mpfs.len() as u64);
-        for (&id, p) in &self.mpfs {
+        for (id, p) in self.mpfs.iter() {
             h.u64(u64::from(id));
             h.u64(p.total as u64);
             h.u64(p.free as u64);
             h_queue(&mut h, &p.q);
         }
         h.u64(self.mpls.len() as u64);
-        for (&id, p) in &self.mpls {
+        for (id, p) in self.mpls.iter() {
             h.u64(u64::from(id));
             h.u64(p.free.len() as u64);
             for (&off, &len) in &p.free {
@@ -1788,13 +1885,13 @@ impl SpecState {
             h_queue(&mut h, &p.q);
         }
         h.u64(self.cycs.len() as u64);
-        for (&id, c) in &self.cycs {
+        for (id, c) in self.cycs.iter() {
             h.u64(u64::from(id));
             h.u64(c.period);
             h_opt(&mut h, c.armed);
         }
         h.u64(self.alms.len() as u64);
-        for (&id, a) in &self.alms {
+        for (id, a) in self.alms.iter() {
             h.u64(u64::from(id));
             h_opt(&mut h, a.armed);
         }
@@ -1816,19 +1913,21 @@ impl SpecState {
         let mut out = Vec::new();
         // 1. Stored current priorities must equal the healthy
         //    ceiling + transitive-inheritance fixpoint.
-        let healthy = self.healthy_priority_fixpoint();
-        for (&tid, t) in &self.tasks {
-            if t.cur != healthy[&tid] {
+        let mut healthy = Vec::new();
+        self.priority_fixpoint(true, &mut healthy);
+        for (tid, t) in self.tasks.iter() {
+            let fix = healthy[tid as usize];
+            if t.cur != fix {
                 out.push(format!(
-                    "tsk{tid}: stored current priority {} but the ceiling/inheritance fixpoint is {}",
-                    t.cur, healthy[&tid]
+                    "tsk{tid}: stored current priority {} but the ceiling/inheritance fixpoint is {fix}",
+                    t.cur
                 ));
             }
         }
         // 2. No satisfiable semaphore head waiter may stay blocked.
-        for (&id, s) in &self.sems {
+        for (id, s) in self.sems.iter() {
             if let Some(front) = s.q.front() {
-                let req = match self.tasks.get(&front).and_then(|t| t.wait) {
+                let req = match self.tasks.get(front).and_then(|t| t.wait) {
                     Some(WaitObj::Sem(_, req)) => req,
                     _ => 1,
                 };
@@ -1841,7 +1940,7 @@ impl SpecState {
             }
         }
         // 3. A fixed pool with free blocks must not keep waiters queued.
-        for (&id, p) in &self.mpfs {
+        for (id, p) in self.mpfs.iter() {
             if p.free > 0 {
                 if let Some(front) = p.q.front() {
                     out.push(format!(
@@ -1852,10 +1951,10 @@ impl SpecState {
             }
         }
         // 4. Mutex ownership must be consistent with held lists.
-        for (&id, m) in &self.mtxs {
+        for (id, m) in self.mtxs.iter() {
             match m.owner {
                 Some(o) => {
-                    if !self.tasks.get(&o).is_some_and(|t| t.held.contains(&id)) {
+                    if !self.tasks.get(o).is_some_and(|t| t.held.contains(&id)) {
                         out.push(format!(
                             "mtx{id}: owner tsk{o} does not hold it in the spec's held list"
                         ));
@@ -1872,38 +1971,117 @@ impl SpecState {
         }
         out
     }
+}
 
-    /// The healthy priority fixpoint (full transitive inheritance,
-    /// never the mutated rule), without touching the state.
-    fn healthy_priority_fixpoint(&self) -> BTreeMap<Tid, u8> {
-        let tids: Vec<Tid> = self.tasks.keys().copied().collect();
-        let mut cur: BTreeMap<Tid, u8> = tids.iter().map(|&t| (t, self.tasks[&t].base)).collect();
-        loop {
-            let mut changed = false;
-            for &tid in &tids {
-                let mut p = self.tasks[&tid].base;
-                for mid in &self.tasks[&tid].held {
-                    let Some(m) = self.mtxs.get(mid) else {
-                        continue;
-                    };
-                    match m.policy {
-                        MtxPolicy::Ceiling(c) => p = p.min(c),
-                        MtxPolicy::Inherit => {
-                            for w in m.q.iter_tids() {
-                                p = p.min(cur[&w]);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                if cur[&tid] != p {
-                    cur.insert(tid, p);
-                    changed = true;
-                }
-            }
-            if !changed {
-                return cur;
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn t(n: u32) -> TaskId {
+        TaskId::from_raw(n)
+    }
+
+    fn replay(events: &[ObsEvent]) -> SpecState {
+        let mut s = SpecState::new();
+        for (i, ev) in events.iter().enumerate() {
+            if let Err(e) = s.apply(ev) {
+                panic!("event #{i} {ev:?}: {e}");
             }
         }
+        s
+    }
+
+    #[test]
+    fn table_accepts_ids_up_to_the_cap_only() {
+        let mut tab: Table<u8> = Table::default();
+        assert!(tab.insert(MAX_MODELED_ID, 1).is_ok());
+        let err = tab.insert(MAX_MODELED_ID + 1, 2).unwrap_err();
+        assert!(err.contains(&(MAX_MODELED_ID + 1).to_string()), "{err}");
+        assert_eq!(tab.len(), 1);
+    }
+
+    #[test]
+    fn tids_with_gaps_iterate_in_ascending_order() {
+        let s = replay(&[
+            ObsEvent::TaskCreate { tid: t(5), pri: 10 },
+            ObsEvent::TaskCreate { tid: t(1), pri: 10 },
+            ObsEvent::TaskStart { tid: t(5) },
+            ObsEvent::TaskStart { tid: t(1) },
+            ObsEvent::Dispatch { tid: t(5), pri: 10 },
+            ObsEvent::Block {
+                tid: t(5),
+                obj: WaitObj::Sleep,
+                deadline_tick: Some(7),
+            },
+            ObsEvent::Dispatch { tid: t(1), pri: 10 },
+            ObsEvent::Block {
+                tid: t(1),
+                obj: WaitObj::Sleep,
+                deadline_tick: Some(7),
+            },
+        ]);
+        assert_eq!(s.waiting_tasks(), [1, 5]);
+        assert_eq!(
+            s.enabled(),
+            [
+                Choice::Timeout { tid: 1, tick: 7 },
+                Choice::Timeout { tid: 5, tick: 7 }
+            ]
+        );
+    }
+
+    #[test]
+    fn a_tid_reused_after_delete_is_a_fresh_task() {
+        let m = rtk_core::MtxId::from_raw(1);
+        let mut s = replay(&[
+            ObsEvent::MtxCreate {
+                id: m,
+                policy: MtxPolicy::Ceiling(2),
+            },
+            ObsEvent::TaskCreate { tid: t(1), pri: 10 },
+            ObsEvent::TaskStart { tid: t(1) },
+            ObsEvent::Dispatch { tid: t(1), pri: 10 },
+            ObsEvent::MtxLock { id: m, tid: t(1) },
+            ObsEvent::WupTsk { tid: t(1) },
+            ObsEvent::TaskExit { tid: t(1) },
+            ObsEvent::TaskDelete { tid: t(1) },
+        ]);
+        let err = s.apply(&ObsEvent::TaskStart { tid: t(1) }).unwrap_err();
+        assert!(err.contains("unknown tsk1"), "{err}");
+        for ev in [
+            ObsEvent::TaskCreate { tid: t(1), pri: 20 },
+            ObsEvent::TaskStart { tid: t(1) },
+            ObsEvent::Dispatch { tid: t(1), pri: 20 },
+        ] {
+            s.apply(&ev).unwrap();
+        }
+        assert_eq!(s.current_priority(1), Some(20));
+        // No queued wakeup survived the first life.
+        let err = s.apply(&ObsEvent::WupConsume { tid: t(1) }).unwrap_err();
+        assert!(err.contains("queued wakeup"), "{err}");
+    }
+
+    #[test]
+    fn digest_counts_live_entries_not_slots() {
+        let direct = replay(&[ObsEvent::TaskCreate { tid: t(2), pri: 10 }]);
+        let churned = replay(&[
+            ObsEvent::TaskCreate { tid: t(2), pri: 10 },
+            ObsEvent::TaskCreate { tid: t(7), pri: 3 },
+            ObsEvent::TaskDelete { tid: t(7) },
+        ]);
+        assert_eq!(direct.canon_digest(), churned.canon_digest());
+        let other = replay(&[ObsEvent::TaskCreate { tid: t(3), pri: 10 }]);
+        assert_ne!(direct.canon_digest(), other.canon_digest());
+    }
+
+    #[test]
+    fn rotation_moves_the_level_head_behind_its_last_peer() {
+        let mut s = SpecState::new();
+        s.ready = vec![(1, 5), (2, 10), (3, 10), (4, 10), (5, 20)];
+        s.rotate_ready(10);
+        assert_eq!(s.ready, [(1, 5), (3, 10), (4, 10), (2, 10), (5, 20)]);
+        s.rotate_ready(5);
+        s.rotate_ready(30);
+        assert_eq!(s.ready, [(1, 5), (3, 10), (4, 10), (2, 10), (5, 20)]);
     }
 }

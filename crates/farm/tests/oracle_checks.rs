@@ -560,6 +560,41 @@ fn rel_wai_mandates_release_and_reserve() {
     assert!(d.detail.contains("mandates wakeup of tsk2"), "{d}");
 }
 
+/// A raw id read from an untrusted trace must never size an
+/// allocation: creating an object far beyond the spec's modeled id
+/// range is a divergence naming the id (a table sized by it would
+/// abort the replay instead), and a lookup there is just unknown.
+#[test]
+fn create_beyond_the_modeled_id_range_diverges() {
+    let huge = u32::MAX;
+    let d = check(&[ObsEvent::TaskCreate {
+        tid: t(huge),
+        pri: 10,
+    }])
+    .divergence
+    .expect("task create beyond the id cap must diverge");
+    assert_eq!(d.index, 0);
+    assert!(d.detail.contains(&huge.to_string()), "{d}");
+
+    let mut evs = prologue();
+    evs.push(ObsEvent::SemCreate {
+        id: sem(huge),
+        init: 0,
+        max: 1,
+        pri_order: false,
+    });
+    let d = check(&evs)
+        .divergence
+        .expect("semaphore create beyond the id cap must diverge");
+    assert_eq!(d.index, evs.len() - 1);
+    assert!(d.detail.contains(&huge.to_string()), "{d}");
+
+    let d = check(&[ObsEvent::TaskStart { tid: t(huge) }])
+        .divergence
+        .expect("a lookup beyond the id cap is an unknown task");
+    assert!(d.detail.contains("unknown tsk4294967295"), "{d}");
+}
+
 /// Soundness over the real kernel: one representative seed per
 /// topology replays clean, and actually exercises the oracle.
 #[test]
